@@ -28,7 +28,7 @@ from .errors import (
     ZeroInput,
 )
 from .cyclic import degree_audit, recover_cyclic_orbit, recover_weighted, weighted_invariants
-from .group import orbit_distance
+from .group import orbit_distance, within_orbit_tolerance
 from .invariants import heisenberg_invariants, is_generic
 from .phase_retrieval import PhaseRetrievalConfig
 from .pipeline import recover_orbit, verify_against_truth
@@ -44,7 +44,12 @@ from .serialization import (
     weighted_invariants_from_json,
     weighted_invariants_to_json,
 )
-from .spectral import DEFAULT_GENERICITY_FLOOR, ToleranceConfig, sample_random_signal
+from .spectral import (
+    DEFAULT_GENERICITY_FLOOR,
+    DEFAULT_RECOVERY_TOL,
+    ToleranceConfig,
+    sample_random_signal,
+)
 
 EXIT_OK = 0
 EXIT_VERIFY_NEGATIVE = 1
@@ -58,6 +63,11 @@ CSV_HEADER = [
 ]
 
 _GENERIC_ATTEMPTS = 64
+
+# Keys an experiment spec may set, each with its type; omitted keys take the
+# config defaults, and pr_config's seed defaults to the spec seed.
+_PR_CONFIG_KEYS = {"max_restarts": int, "residual_target": float, "seed": int}
+_TOLERANCE_KEYS = {"rel_eq": float, "genericity_floor": float, "recovery_tol": float}
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,13 @@ class ExperimentSpec:
             raise ValueError("n_values must be nonempty with every entry >= 2")
 
 
+def _spec_section(obj, kinds: dict, where: str) -> dict:
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise InputFormatError(f"experiment spec: unknown {where} keys {unknown}")
+    return {key: kinds[key](value) for key, value in obj.items()}
+
+
 def experiment_spec_from_json(obj) -> ExperimentSpec:
     if not isinstance(obj, dict):
         raise InputFormatError("experiment spec: expected a JSON object")
@@ -91,23 +108,14 @@ def experiment_spec_from_json(obj) -> ExperimentSpec:
     if not isinstance(pr_obj, dict) or not isinstance(tol_obj, dict):
         raise InputFormatError("experiment spec: pr_config/tolerances must be objects")
     try:
-        pr_config = PhaseRetrievalConfig(
-            max_restarts=int(pr_obj.get("max_restarts", 50)),
-            max_iterations=int(pr_obj.get("max_iterations", 2000)),
-            residual_target=float(pr_obj.get("residual_target", 1e-10)),
-            seed=int(pr_obj.get("seed", seed)),
-        )
-        tolerances = ToleranceConfig(
-            rel_eq=float(tol_obj.get("rel_eq", 1e-9)),
-            genericity_floor=float(tol_obj.get("genericity_floor", 1e-8)),
-            recovery_tol=float(tol_obj.get("recovery_tol", 1e-6)),
-        )
         return ExperimentSpec(
             n_values=n_values,
             trials=trials,
             seed=seed,
-            pr_config=pr_config,
-            tolerances=tolerances,
+            pr_config=PhaseRetrievalConfig(
+                **{"seed": seed, **_spec_section(pr_obj, _PR_CONFIG_KEYS, "pr_config")}
+            ),
+            tolerances=ToleranceConfig(**_spec_section(tol_obj, _TOLERANCE_KEYS, "tolerances")),
         )
     except (TypeError, ValueError) as exc:
         raise InputFormatError(f"experiment spec: {exc}") from exc
@@ -152,18 +160,15 @@ def cmd_recover(args) -> int:
     inv = invariants_from_json(load_json(args.input))
     pr_cfg = PhaseRetrievalConfig(
         max_restarts=args.max_restarts,
-        max_iterations=args.max_iterations,
         residual_target=args.residual_target,
         seed=args.seed,
     )
     tol = ToleranceConfig(recovery_tol=args.tol)
     report = recover_orbit(inv, pr_cfg, tol)
     dump_json(recovery_report_to_json(report), args.output)
-    if report.success:
-        return EXIT_OK
-    if not report.diagnostics["phase_retrieval"]["converged"]:
-        return EXIT_NO_CONVERGENCE
-    return EXIT_VERIFY_NEGATIVE
+    # recover_orbit raises when starts converged but failed the screens, so an
+    # unsuccessful report means no start converged
+    return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 
 
 def cmd_verify(args) -> int:
@@ -172,7 +177,7 @@ def cmd_verify(args) -> int:
     if len(x) != len(x2):
         raise OrderMismatch(f"dimensions differ: {len(x)} vs {len(x2)}")
     dist, witness = orbit_distance(x, x2)
-    equivalent = dist <= args.tol * max(float(np.linalg.norm(x)), 1.0)
+    equivalent = within_orbit_tolerance(dist, x, args.tol)
     print(f"distance: {dist:.12e}")
     print(f"witness: {group_element_to_json(witness)}")
     print(f"equivalent: {str(equivalent).lower()}")
@@ -288,18 +293,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="reconstruct an orbit element from a bundle")
     p.add_argument("input", help="invariant bundle JSON file")
     p.add_argument("output", help="recovery report JSON file to write")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-restarts", type=int, default=50)
-    p.add_argument("--max-iterations", type=int, default=2000)
-    p.add_argument("--residual-target", type=float, default=1e-10)
-    p.add_argument("--tol", type=float, default=1e-6,
+    p.add_argument("--seed", type=int, default=PhaseRetrievalConfig.seed)
+    p.add_argument("--max-restarts", type=int, default=PhaseRetrievalConfig.max_restarts)
+    p.add_argument("--residual-target", type=float,
+                   default=PhaseRetrievalConfig.residual_target)
+    p.add_argument("--tol", type=float, default=DEFAULT_RECOVERY_TOL,
                    help="recovery tolerance for the final invariant match")
     p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("verify", help="test two vectors for orbit equivalence")
     p.add_argument("input", help="first ComplexVector JSON file")
     p.add_argument("input2", help="second ComplexVector JSON file")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=DEFAULT_RECOVERY_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("experiment", help="Monte-Carlo recovery experiment to CSV")

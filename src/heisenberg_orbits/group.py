@@ -107,7 +107,12 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
     return best_dist, best_g
 
 
+def within_orbit_tolerance(dist: float, x, tol: float) -> bool:
+    """True iff an orbit distance from x is within tol * max(||x||, 1)."""
+    return dist <= tol * max(float(np.linalg.norm(as_complex_vector(x))), 1.0)
+
+
 def orbit_equivalent(x, x2, tol: float) -> bool:
     """True iff the orbit distance is within tol * max(||x||, 1)."""
     dist, _ = orbit_distance(x, x2)
-    return dist <= tol * max(float(np.linalg.norm(as_complex_vector(x))), 1.0)
+    return within_orbit_tolerance(dist, x, tol)

@@ -30,7 +30,12 @@ ENERGY_BALANCE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PhaseRetrievalConfig:
-    """Search budget and seeding for the restarted projection search."""
+    """Search budget and seeding for the restarted magnitude searches.
+
+    max_iterations bounds each error_reduction run inside retrieve_phase;
+    recover_orbit reads max_restarts, residual_target and seed, and caps
+    each of its Gauss-Newton starts at 60 iterations.
+    """
 
     max_restarts: int = 50
     max_iterations: int = 2000
@@ -95,9 +100,15 @@ def magnitudes_match(x, y_mag, z_mag, tol: float) -> bool:
     y, z = _validated_magnitudes(y_mag, z_mag)
     if len(x) != len(y):
         raise OrderMismatch(f"dimensions differ: {len(x)} vs {len(y)}")
-    time_err = max_relative_deviation(np.abs(x) ** 2, y)
-    freq_err = max_relative_deviation(np.abs(dft(x)) ** 2, z)
-    return max(time_err, freq_err) <= tol
+    return _magnitude_residual(x, dft(x), y, z) <= tol
+
+
+def _magnitude_residual(x, X, y, z) -> float:
+    # worst relative mismatch of |x|**2 against y and of |X|**2 against z
+    return max(
+        max_relative_deviation(np.abs(x) ** 2, y),
+        max_relative_deviation(np.abs(X) ** 2, z),
+    )
 
 
 def best_global_phase(a, b) -> tuple[complex, float]:
@@ -152,10 +163,7 @@ def error_reduction(
     x = sqrt_y * np.exp(1j * np.asarray(initial_phases, dtype=np.float64))
     X = forward @ x
     freq_errors = [float(np.linalg.norm(np.abs(X) - sqrt_z))]
-    residual = max(
-        max_relative_deviation(np.abs(x) ** 2, y),
-        max_relative_deviation(np.abs(X) ** 2, z),
-    )
+    residual = _magnitude_residual(x, X, y, z)
     iterations = 0
     while residual > residual_target and iterations < max_iterations:
         X = _project_phases(X, sqrt_z)
@@ -163,10 +171,7 @@ def error_reduction(
         x = _project_phases(x, sqrt_y)
         X = forward @ x
         freq_errors.append(float(np.linalg.norm(np.abs(X) - sqrt_z)))
-        residual = max(
-            max_relative_deviation(np.abs(x) ** 2, y),
-            max_relative_deviation(np.abs(X) ** 2, z),
-        )
+        residual = _magnitude_residual(x, X, y, z)
         iterations += 1
     return x, residual, iterations, freq_errors
 
@@ -234,17 +239,10 @@ def newton_magnitude_solve(
             stalls += 1
             if damping > 1e8 or stalls > 8:
                 break
-        residual = max(
-            max_relative_deviation(np.abs(x) ** 2, y),
-            max_relative_deviation(np.abs(X) ** 2, z),
-        )
+        residual = _magnitude_residual(x, X, y, z)
         if residual <= residual_target:
             return x, residual, iterations
-    residual = max(
-        max_relative_deviation(np.abs(x) ** 2, y),
-        max_relative_deviation(np.abs(X) ** 2, z),
-    )
-    return x, residual, iterations
+    return x, _magnitude_residual(x, X, y, z), iterations
 
 
 def retrieve_phase(y_mag, z_mag, cfg: PhaseRetrievalConfig | None = None) -> RecoveryReport:

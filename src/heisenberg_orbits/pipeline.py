@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import PhaseUnresolvable
-from .group import GroupElement, orbit_distance
+from .group import GroupElement, orbit_distance, within_orbit_tolerance
 from .invariants import (
     HeisenbergInvariants,
     heisenberg_invariants,
@@ -48,7 +48,6 @@ from .phase_retrieval import (
 )
 from .spectral import (
     ToleranceConfig,
-    as_complex_vector,
     dft,
     dft_matrix,
     max_relative_deviation,
@@ -84,40 +83,43 @@ class OrbitRecoveryReport:
             raise ValueError("successful report must carry a finite verification residual")
 
 
-@dataclass(frozen=True)
-class _SearchOutcome:
-    candidate: np.ndarray  # phase-fixed when accepted, best effort otherwise
-    residual: float
-    phase_fix_residual: float
-    invariant_match: float
-    ratio_modulus: float
-    starts_used: int
-    iterations_last: int
-    accepted: bool
-    converged_count: int
-    power_rejected: int
-    verify_rejected: int
+def recover_orbit(
+    inv: HeisenbergInvariants,
+    pr_cfg: PhaseRetrievalConfig | None = None,
+    tol: ToleranceConfig | None = None,
+) -> OrbitRecoveryReport:
+    """Reconstruct an orbit element from its invariant bundle.
 
+    The magnitude search is a seeded multistart: start r draws its phases
+    from seed pr_cfg.seed + r and runs at most 60 Gauss-Newton iterations.
+    A converged start must pass two screens to be accepted: its power-sum
+    magnitude matches the bundle within the consistency band, and after the
+    global-phase fix the fully recomputed bundle matches within the recovery
+    tolerance. The first accepted start wins. Rejections are counted per
+    screen in diagnostics["phase_retrieval"], so callers can tell an
+    exhausted budget from unsolvable or tampered data.
 
-def _consistent_candidate_search(
-    y, z, inv: HeisenbergInvariants, pr_cfg: PhaseRetrievalConfig, tol: ToleranceConfig
-) -> _SearchOutcome:
-    """Seeded multistart over magnitude solutions, screened by the bundle.
-
-    Start r draws its phases from seed pr_cfg.seed + r. A converged start
-    must pass two screens to be accepted: its power-sum magnitude matches
-    the bundle within the consistency band, and after the global-phase fix
-    the fully recomputed bundle matches within the recovery tolerance.
-    Rejections are counted per screen so callers can tell an exhausted
-    budget from unsolvable or tampered data.
+    Success is guaranteed only for bundles of generic vectors, and only with
+    the probability that the multistart budget reaches the bundle-consistent
+    solution class. When no start converges at all, a best-effort report
+    with success=False is returned so batch experiments can record failure
+    rates. PhaseUnresolvable is raised when starts converged but none passed
+    the consistency screens within the budget, which is also how tampered
+    bundles (power sum with the wrong magnitude) surface.
     """
+    pr_cfg = pr_cfg if pr_cfg is not None else PhaseRetrievalConfig()
+    tol = tol if tol is not None else ToleranceConfig()
+
+    y = invert_real_bispectrum(inv.bm, floor=tol.genericity_floor, rel_eq=tol.rel_eq)
+    res_bm = max_relative_deviation(inv.bm, unitary_bispectrum(dft(y)))
+    z = invert_real_bispectrum(inv.bfm, floor=tol.genericity_floor, rel_eq=tol.rel_eq)
+    res_bfm = max_relative_deviation(inv.bfm, unitary_bispectrum(dft(z)))
+
     y, z = check_energy_balance(y, z)
     n = len(y)
     forward = dft_matrix(n)
     best: tuple[float, np.ndarray, int] | None = None
-    converged = 0
-    power_rejected = 0
-    verify_rejected = 0
+    converged = power_rejected = verify_rejected = 0
     for start in range(pr_cfg.max_restarts):
         rng = np.random.default_rng(pr_cfg.seed + start)
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
@@ -151,102 +153,46 @@ def _consistent_candidate_search(
         if match > tol.recovery_tol:
             verify_rejected += 1
             continue
-        return _SearchOutcome(
-            candidate=fixed,
-            residual=residual,
-            phase_fix_residual=fix_residual,
-            invariant_match=match,
-            ratio_modulus=abs(ratio),
-            starts_used=start + 1,
-            iterations_last=iterations,
-            accepted=True,
-            converged_count=converged,
-            power_rejected=power_rejected,
-            verify_rejected=verify_rejected,
-        )
-    residual, candidate, iterations = best
-    return _SearchOutcome(
-        candidate=candidate,
-        residual=residual,
-        phase_fix_residual=math.nan,
-        invariant_match=invariant_distance(heisenberg_invariants(candidate), inv),
-        ratio_modulus=math.nan,
-        starts_used=pr_cfg.max_restarts,
-        iterations_last=iterations,
-        accepted=False,
-        converged_count=converged,
-        power_rejected=power_rejected,
-        verify_rejected=verify_rejected,
-    )
-
-
-def recover_orbit(
-    inv: HeisenbergInvariants,
-    pr_cfg: PhaseRetrievalConfig | None = None,
-    tol: ToleranceConfig | None = None,
-) -> OrbitRecoveryReport:
-    """Reconstruct an orbit element from its invariant bundle.
-
-    Success is guaranteed only for bundles of generic vectors, and only with
-    the probability that the multistart budget reaches the bundle-consistent
-    solution class. When no start converges at all, a best-effort report
-    with success=False is returned so batch experiments can record failure
-    rates. PhaseUnresolvable is raised when starts converged but none passed
-    the consistency screens within the budget, which is also how tampered
-    bundles (power sum with the wrong magnitude) surface.
-    """
-    pr_cfg = pr_cfg if pr_cfg is not None else PhaseRetrievalConfig()
-    tol = tol if tol is not None else ToleranceConfig()
-    diagnostics: dict[str, Any] = {}
-
-    y = invert_real_bispectrum(inv.bm, floor=tol.genericity_floor, rel_eq=tol.rel_eq)
-    res_bm = max_relative_deviation(inv.bm, unitary_bispectrum(dft(y)))
-    diagnostics["bm_inversion"] = {"residual": res_bm}
-
-    z = invert_real_bispectrum(inv.bfm, floor=tol.genericity_floor, rel_eq=tol.rel_eq)
-    res_bfm = max_relative_deviation(inv.bfm, unitary_bispectrum(dft(z)))
-    diagnostics["bfm_inversion"] = {"residual": res_bfm}
-
-    search = _consistent_candidate_search(y, z, inv, pr_cfg, tol)
-    diagnostics["phase_retrieval"] = {
-        "method": "newton-multistart",
-        "converged": search.accepted,
-        "residual": search.residual,
-        "restarts_used": search.starts_used,
-        "iterations_last": search.iterations_last,
-        "converged_starts": search.converged_count,
-        "power_rejected": search.power_rejected,
-        "verify_rejected": search.verify_rejected,
-    }
-    if not search.accepted and search.converged_count > 0:
-        raise PhaseUnresolvable(
-            f"{search.converged_count} magnitude solutions found in "
-            f"{search.starts_used} starts, none consistent with the invariant "
-            "bundle; the bundle is inconsistent or the budget too small"
-        )
-    if search.accepted:
-        diagnostics["phase_fix"] = {
-            "ratio_modulus": search.ratio_modulus,
-            "residual": search.phase_fix_residual,
-        }
+        accepted, candidate = True, fixed
+        phase_fix = {"ratio_modulus": abs(ratio), "residual": fix_residual}
+        break
     else:
-        diagnostics["phase_fix"] = {"skipped": True}
+        if converged > 0:
+            raise PhaseUnresolvable(
+                f"{converged} magnitude solutions found in "
+                f"{pr_cfg.max_restarts} starts, none consistent with the invariant "
+                "bundle; the bundle is inconsistent or the budget too small"
+            )
+        accepted, fix_residual, phase_fix = False, math.nan, {"skipped": True}
+        residual, candidate, iterations = best
+        match = invariant_distance(heisenberg_invariants(candidate), inv)
 
-    success = search.accepted and search.invariant_match <= tol.recovery_tol
-    diagnostics["verification"] = {
-        "invariant_distance": search.invariant_match,
-        "tolerance": tol.recovery_tol,
+    diagnostics: dict[str, Any] = {
+        "bm_inversion": {"residual": res_bm},
+        "bfm_inversion": {"residual": res_bfm},
+        "phase_retrieval": {
+            "method": "newton-multistart",
+            "converged": accepted,
+            "residual": residual,
+            "restarts_used": start + 1,
+            "iterations_last": iterations,
+            "converged_starts": converged,
+            "power_rejected": power_rejected,
+            "verify_rejected": verify_rejected,
+        },
+        "phase_fix": phase_fix,
+        "verification": {"invariant_distance": match, "tolerance": tol.recovery_tol},
     }
     return OrbitRecoveryReport(
-        candidate=search.candidate,
+        candidate=candidate,
         stage_residuals=StageResiduals(
             bm_inversion=res_bm,
             bfm_inversion=res_bfm,
-            phase_retrieval=search.residual,
-            phase_fix=search.phase_fix_residual,
-            invariant_match=search.invariant_match,
+            phase_retrieval=residual,
+            phase_fix=fix_residual,
+            invariant_match=match,
         ),
-        success=success,
+        success=accepted,
         diagnostics=diagnostics,
     )
 
@@ -255,7 +201,5 @@ def verify_against_truth(
     report: OrbitRecoveryReport, x_true, tol: float
 ) -> tuple[bool, float, GroupElement]:
     """Check a recovery against a known ground truth with the orbit oracle."""
-    x_true = as_complex_vector(x_true)
     dist, witness = orbit_distance(x_true, report.candidate)
-    equivalent = dist <= tol * max(float(np.linalg.norm(x_true)), 1.0)
-    return equivalent, dist, witness
+    return within_orbit_tolerance(dist, x_true, tol), dist, witness

@@ -31,6 +31,27 @@ def write_vector(path, x):
     dump_json(complex_vector_to_json(x), path)
 
 
+REPORT_KEYS = {"candidate", "success", "stage_residuals", "diagnostics"}
+STAGE_KEYS = {"bm_inversion", "bfm_inversion", "phase_retrieval", "phase_fix", "invariant_match"}
+SEARCH_KEYS = {
+    "method", "converged", "residual", "restarts_used", "iterations_last",
+    "converged_starts", "power_rejected", "verify_rejected",
+}
+
+
+def assert_report_layout(report, phase_fix_keys):
+    assert set(report) == REPORT_KEYS
+    assert set(report["stage_residuals"]) == STAGE_KEYS
+    diagnostics = report["diagnostics"]
+    assert set(diagnostics) == {
+        "bm_inversion", "bfm_inversion", "phase_retrieval", "phase_fix", "verification",
+    }
+    assert set(diagnostics["bm_inversion"]) == set(diagnostics["bfm_inversion"]) == {"residual"}
+    assert set(diagnostics["phase_retrieval"]) == SEARCH_KEYS
+    assert set(diagnostics["phase_fix"]) == phase_fix_keys
+    assert set(diagnostics["verification"]) == {"invariant_distance", "tolerance"}
+
+
 class TestInvariantsCommand:
     def test_writes_bundle(self, tmp_path):
         x = generic_signal(4, 2)
@@ -80,6 +101,7 @@ class TestRecoverCommand:
         )
         report = load_json(rec_path)
         assert report["success"] is True
+        assert_report_layout(report, {"ratio_modulus", "residual"})
         write_vector(cand_path, complex_vector_from_json(report["candidate"]))
         assert main(["verify", str(src), str(cand_path), "--tol", "1e-6"]) == 0
 
@@ -128,6 +150,15 @@ class TestRecoverCommand:
         report = load_json(rec_path)
         assert report["success"] is False
         assert report["stage_residuals"]["phase_fix"] is None
+        assert_report_layout(report, {"skipped"})
+        assert report["diagnostics"]["phase_fix"] == {"skipped": True}
+
+    def test_max_iterations_flag_rejected(self, tmp_path):
+        # Newton starts have a fixed iteration cap, so recover takes no budget for it
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", str(tmp_path / "inv.json"), str(tmp_path / "rec.json"),
+                  "--max-iterations", "5"])
+        assert exc.value.code == 2
 
 
 class TestVerifyCommand:
@@ -208,11 +239,31 @@ class TestExperimentCommand:
         assert main(["experiment", str(spec_path), str(first)]) == 0
         assert main(["experiment", str(spec_path), str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+        # every default spelled out gives the same bytes as the minimal spec
+        explicit_path = tmp_path / "explicit.json"
+        dump_json(
+            {
+                "n_values": [3, 4], "trials": 2, "seed": 5,
+                "pr_config": {"max_restarts": 50, "residual_target": 1e-10, "seed": 5},
+                "tolerances": {"rel_eq": 1e-9, "genericity_floor": 1e-8, "recovery_tol": 1e-6},
+            },
+            explicit_path,
+        )
+        third = tmp_path / "c.csv"
+        assert main(["experiment", str(explicit_path), str(third)]) == 0
+        assert third.read_bytes() == first.read_bytes()
 
     def test_malformed_spec(self, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        dump_json({"trials": 2}, spec_path)
-        assert main(["experiment", str(spec_path), str(tmp_path / "o.csv")]) == 2
+        base = {"n_values": [3], "trials": 1, "seed": 1}
+        for spec in (
+            {"trials": 2},
+            # max_iterations bounds no stage of recover_orbit
+            {**base, "pr_config": {"max_iterations": 5}},
+            {**base, "tolerances": {"recovery_tl": 1e-3}},
+        ):
+            spec_path = tmp_path / "spec.json"
+            dump_json(spec, spec_path)
+            assert main(["experiment", str(spec_path), str(tmp_path / "o.csv")]) == 2
 
 
 class TestDegreeAuditCommand:
