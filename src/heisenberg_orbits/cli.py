@@ -12,7 +12,8 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .serialization import (
     complex_vector_from_json,
     complex_vector_to_json,
     dump_json,
+    experiment_spec_from_json,
     group_element_to_json,
     invariants_from_json,
     invariants_to_json,
@@ -63,62 +65,6 @@ CSV_HEADER = [
 ]
 
 _GENERIC_ATTEMPTS = 64
-
-# Keys an experiment spec may set, each with its type; omitted keys take the
-# config defaults, and pr_config's seed defaults to the spec seed.
-_PR_CONFIG_KEYS = {"max_restarts": int, "residual_target": float, "seed": int}
-_TOLERANCE_KEYS = {"rel_eq": float, "genericity_floor": float, "recovery_tol": float}
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Monte-Carlo run description: dimensions, trial counts, seeds, budgets."""
-
-    n_values: tuple[int, ...]
-    trials: int
-    seed: int
-    pr_config: PhaseRetrievalConfig
-    tolerances: ToleranceConfig
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if not self.n_values or any(n < 2 for n in self.n_values):
-            raise ValueError("n_values must be nonempty with every entry >= 2")
-
-
-def _spec_section(obj, kinds: dict, where: str) -> dict:
-    unknown = sorted(set(obj) - set(kinds))
-    if unknown:
-        raise InputFormatError(f"experiment spec: unknown {where} keys {unknown}")
-    return {key: kinds[key](value) for key, value in obj.items()}
-
-
-def experiment_spec_from_json(obj) -> ExperimentSpec:
-    if not isinstance(obj, dict):
-        raise InputFormatError("experiment spec: expected a JSON object")
-    try:
-        n_values = tuple(int(v) for v in obj["n_values"])
-        trials = int(obj["trials"])
-        seed = int(obj["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputFormatError(f"experiment spec: {exc}") from exc
-    pr_obj = obj.get("pr_config", {})
-    tol_obj = obj.get("tolerances", {})
-    if not isinstance(pr_obj, dict) or not isinstance(tol_obj, dict):
-        raise InputFormatError("experiment spec: pr_config/tolerances must be objects")
-    try:
-        return ExperimentSpec(
-            n_values=n_values,
-            trials=trials,
-            seed=seed,
-            pr_config=PhaseRetrievalConfig(
-                **{"seed": seed, **_spec_section(pr_obj, _PR_CONFIG_KEYS, "pr_config")}
-            ),
-            tolerances=ToleranceConfig(**_spec_section(tol_obj, _TOLERANCE_KEYS, "tolerances")),
-        )
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"experiment spec: {exc}") from exc
 
 
 def _derived_seed(*entropy: int) -> int:
@@ -259,18 +205,9 @@ def cmd_degree_audit(args) -> int:
     return EXIT_OK if all_zero else EXIT_VERIFY_NEGATIVE
 
 
-def cmd_cyclic(args) -> int:
-    if args.cyclic_command == "weighted-invariants":
-        v = complex_vector_from_json(load_json(args.input))
-        dump_json(weighted_invariants_to_json(weighted_invariants(v)), args.output)
-    elif args.cyclic_command == "recover-weighted":
-        inv = weighted_invariants_from_json(load_json(args.input))
-        dump_json(complex_vector_to_json(recover_weighted(inv)), args.output)
-    elif args.cyclic_command == "recover-regular":
-        x = complex_vector_from_json(load_json(args.input))
-        dump_json(complex_vector_to_json(recover_cyclic_orbit(x)), args.output)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise InputFormatError(f"unknown cyclic command {args.cyclic_command!r}")
+def _convert_file(read, run, write, args) -> int:
+    """Decode args.input with read, apply run, and encode to args.output with write."""
+    dump_json(write(run(read(load_json(args.input)))), args.output)
     return EXIT_OK
 
 
@@ -322,15 +259,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cyclic", help="cyclic-group invariants and recovery")
     cyc = p.add_subparsers(dest="cyclic_command", required=True)
-    for name, help_text in (
-        ("weighted-invariants", "invariant chain of a weighted cyclic action"),
-        ("recover-weighted", "recover a vector from its invariant chain"),
-        ("recover-regular", "recover a vector up to cyclic shift"),
+    for name, help_text, read, run, write in (
+        ("weighted-invariants", "invariant chain of a weighted cyclic action",
+         complex_vector_from_json, weighted_invariants, weighted_invariants_to_json),
+        ("recover-weighted", "recover a vector from its invariant chain",
+         weighted_invariants_from_json, recover_weighted, complex_vector_to_json),
+        ("recover-regular", "recover a vector up to cyclic shift",
+         complex_vector_from_json, recover_cyclic_orbit, complex_vector_to_json),
     ):
         q = cyc.add_parser(name, help=help_text)
         q.add_argument("input")
         q.add_argument("output")
-    p.set_defaults(func=cmd_cyclic)
+        q.set_defaults(func=partial(_convert_file, read, run, write))
 
     return parser
 
@@ -340,7 +280,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, OrderMismatch, ValueError) as exc:
+    except (InputFormatError, OrderMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (

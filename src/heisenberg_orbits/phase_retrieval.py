@@ -34,7 +34,7 @@ class PhaseRetrievalConfig:
 
     max_iterations bounds each error_reduction run inside retrieve_phase;
     recover_orbit reads max_restarts, residual_target and seed, and caps
-    each of its Gauss-Newton starts at 60 iterations.
+    each of its Gauss-Newton starts at newton_magnitude_solve's default.
     """
 
     max_restarts: int = 50

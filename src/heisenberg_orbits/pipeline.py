@@ -55,7 +55,6 @@ from .spectral import (
 )
 
 PHASE_RATIO_BAND = 1e-3
-_NEWTON_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -91,13 +90,13 @@ def recover_orbit(
     """Reconstruct an orbit element from its invariant bundle.
 
     The magnitude search is a seeded multistart: start r draws its phases
-    from seed pr_cfg.seed + r and runs at most 60 Gauss-Newton iterations.
-    A converged start must pass two screens to be accepted: its power-sum
-    magnitude matches the bundle within the consistency band, and after the
-    global-phase fix the fully recomputed bundle matches within the recovery
-    tolerance. The first accepted start wins. Rejections are counted per
-    screen in diagnostics["phase_retrieval"], so callers can tell an
-    exhausted budget from unsolvable or tampered data.
+    from seed pr_cfg.seed + r and runs newton_magnitude_solve under its
+    default iteration cap. A converged start must pass two screens to be
+    accepted: its power-sum magnitude matches the bundle within the
+    consistency band, and after the global-phase fix the fully recomputed
+    bundle matches within the recovery tolerance. The first accepted start
+    wins. Rejections are counted per screen in diagnostics["phase_retrieval"],
+    so callers can tell an exhausted budget from unsolvable or tampered data.
 
     Success is guaranteed only for bundles of generic vectors, and only with
     the probability that the multistart budget reaches the bundle-consistent
@@ -127,7 +126,6 @@ def recover_orbit(
             y,
             z,
             phases,
-            max_iterations=_NEWTON_ITERATIONS,
             residual_target=pr_cfg.residual_target,
             _forward=forward,
         )

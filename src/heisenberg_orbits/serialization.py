@@ -1,15 +1,20 @@
-"""JSON encodings for the shared value types.
+"""JSON encodings of every file the command line reads or writes.
 
 Complex vectors: {"n": N, "re": [...], "im": [...]}. Complex matrices split
 the same way with nested lists. All values assume the package-wide transform
 convention documented in spectral.py. Not-a-number residuals serialize as
-null.
+null. The experiment spec lives here too, with its dataclass.
+
+Every input is decoded through the same private readers: an integer field is
+a JSON integer (not a bool), and a number field holds finite JSON numbers of
+an exact shape. Anything else raises InputFormatError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -18,14 +23,16 @@ from .cyclic import WeightedCyclicInvariants
 from .errors import InputFormatError
 from .group import GroupElement
 from .invariants import HeisenbergInvariants
+from .phase_retrieval import PhaseRetrievalConfig
 from .pipeline import OrbitRecoveryReport
+from .spectral import ToleranceConfig
 
 
 def load_json(path) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise InputFormatError(f"cannot read JSON from {path}: {exc}") from exc
 
 
@@ -35,77 +42,65 @@ def dump_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _require(obj, key, kinds, where):
-    if not isinstance(obj, dict) or key not in obj:
+def _field(obj, key, where):
+    if not isinstance(obj, dict):
+        raise InputFormatError(f"{where}: expected a JSON object")
+    if key not in obj:
         raise InputFormatError(f"{where}: missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, kinds):
-        raise InputFormatError(f"{where}: field {key!r} has the wrong type")
+    return obj[key]
+
+
+def _int(obj, key, where, minimum=None) -> int:
+    """A JSON integer field, not a bool, and at least `minimum` when given."""
+    value = _field(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputFormatError(f"{where}: field {key!r} must be an integer")
+    if minimum is not None and value < minimum:
+        raise InputFormatError(f"{where}: field {key!r} must be at least {minimum}")
     return value
 
 
-def _float_list(obj, key, length, where):
-    values = _require(obj, key, list, where)
-    if len(values) != length:
-        raise InputFormatError(f"{where}: field {key!r} must have length {length}")
+def _numbers(obj, key, where, shape=()):
+    """Finite JSON numbers of exactly `shape`, as float64.
+
+    `()` is one number (returned as a float), `(n,)` a vector and `(n, n)` a
+    matrix. Strings and bools fail the numeric-dtype check; so do null and
+    integers too large for a float.
+    """
+    value = _field(obj, key, where)
     try:
-        return [float(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"{where}: field {key!r} must hold numbers") from exc
+        arr = np.asarray(value)
+        # numpy keeps integers beyond 64 bits as Python objects
+        if arr.dtype == object and all(type(v) in (int, float) for v in arr.flat):
+            arr = arr.astype(np.float64)
+    except (ValueError, OverflowError) as exc:
+        raise InputFormatError(f"{where}: field {key!r}: {exc}") from exc
+    if arr.dtype.kind not in "iuf" or arr.shape != shape:
+        raise InputFormatError(f"{where}: field {key!r} must hold numbers of shape {shape}")
+    arr = arr.astype(np.float64, copy=False)
+    if not np.all(np.isfinite(arr)):
+        raise InputFormatError(f"{where}: field {key!r} must be finite")
+    return arr if shape else float(arr)
+
+
+def _complex(obj, where, shape=()):
+    """Complex numbers of `shape` stored as {"re": ..., "im": ...} in obj."""
+    return _numbers(obj, "re", where, shape) + 1j * _numbers(obj, "im", where, shape)
+
+
+def _complex_to_json(values) -> dict:
+    values = np.asarray(values, dtype=np.complex128)
+    return {"re": values.real.tolist(), "im": values.imag.tolist()}
 
 
 def complex_vector_to_json(x) -> dict:
     x = np.asarray(x, dtype=np.complex128)
-    return {
-        "n": int(len(x)),
-        "re": [float(v) for v in x.real],
-        "im": [float(v) for v in x.imag],
-    }
+    return {"n": int(len(x)), **_complex_to_json(x)}
 
 
 def complex_vector_from_json(obj) -> np.ndarray:
     where = "complex vector"
-    n = _require(obj, "n", int, where)
-    if isinstance(n, bool) or n < 1:
-        raise InputFormatError(f"{where}: 'n' must be a positive integer")
-    re = _float_list(obj, "re", n, where)
-    im = _float_list(obj, "im", n, where)
-    arr = np.asarray(re, dtype=np.float64) + 1j * np.asarray(im, dtype=np.float64)
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise InputFormatError(f"{where}: entries must be finite")
-    return arr
-
-
-def _matrix_to_json(mat) -> dict:
-    mat = np.asarray(mat, dtype=np.complex128)
-    return {
-        "re": [[float(v) for v in row] for row in mat.real],
-        "im": [[float(v) for v in row] for row in mat.imag],
-    }
-
-
-def _matrix_from_json(obj, n, where) -> np.ndarray:
-    re = _require(obj, "re", list, where)
-    im = _require(obj, "im", list, where)
-    if len(re) != n or len(im) != n:
-        raise InputFormatError(f"{where}: matrix must have {n} rows")
-    rows = []
-    for re_row, im_row in zip(re, im):
-        if not isinstance(re_row, list) or not isinstance(im_row, list):
-            raise InputFormatError(f"{where}: matrix rows must be lists")
-        if len(re_row) != n or len(im_row) != n:
-            raise InputFormatError(f"{where}: matrix rows must have length {n}")
-        try:
-            rows.append(
-                np.asarray([float(v) for v in re_row])
-                + 1j * np.asarray([float(v) for v in im_row])
-            )
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"{where}: matrix entries must be numbers") from exc
-    mat = np.asarray(rows, dtype=np.complex128)
-    if not (np.all(np.isfinite(mat.real)) and np.all(np.isfinite(mat.imag))):
-        raise InputFormatError(f"{where}: matrix entries must be finite")
-    return mat
+    return _complex(obj, where, (_int(obj, "n", where, minimum=1),))
 
 
 def group_element_to_json(g: GroupElement) -> dict:
@@ -114,66 +109,90 @@ def group_element_to_json(g: GroupElement) -> dict:
 
 def group_element_from_json(obj) -> GroupElement:
     where = "group element"
-    order = _require(obj, "N", int, where)
-    if isinstance(order, bool) or order < 1:
-        raise InputFormatError(f"{where}: 'N' must be a positive integer")
-    fields = {}
-    for key in ("k", "n", "m"):
-        value = _require(obj, key, int, where)
-        if isinstance(value, bool):
-            raise InputFormatError(f"{where}: field {key!r} must be an integer")
-        fields[key] = value
-    return GroupElement(order, fields["k"], fields["n"], fields["m"])
+    order = _int(obj, "N", where, minimum=1)
+    return GroupElement(order, *(_int(obj, key, where) for key in ("k", "n", "m")))
 
 
 def invariants_to_json(inv: HeisenbergInvariants) -> dict:
     return {
         "n": inv.n,
-        "bm": _matrix_to_json(inv.bm),
-        "bfm": _matrix_to_json(inv.bfm),
-        "iN": {"re": float(inv.power_sum.real), "im": float(inv.power_sum.imag)},
+        "bm": _complex_to_json(inv.bm),
+        "bfm": _complex_to_json(inv.bfm),
+        "iN": _complex_to_json(inv.power_sum),
     }
 
 
 def invariants_from_json(obj) -> HeisenbergInvariants:
     where = "invariant bundle"
-    n = _require(obj, "n", int, where)
-    if isinstance(n, bool) or n < 1:
-        raise InputFormatError(f"{where}: 'n' must be a positive integer")
-    bm = _matrix_from_json(_require(obj, "bm", dict, where), n, where + " (bm)")
-    bfm = _matrix_from_json(_require(obj, "bfm", dict, where), n, where + " (bfm)")
-    i_obj = _require(obj, "iN", dict, where)
-    power = complex(
-        float(_require(i_obj, "re", (int, float), where + " (iN)")),
-        float(_require(i_obj, "im", (int, float), where + " (iN)")),
-    )
+    n = _int(obj, "n", where, minimum=1)
+    bm = _complex(_field(obj, "bm", where), where + " (bm)", (n, n))
+    bfm = _complex(_field(obj, "bfm", where), where + " (bfm)", (n, n))
+    power = _complex(_field(obj, "iN", where), where + " (iN)")
     return HeisenbergInvariants(n=n, bm=bm, bfm=bfm, power_sum=power)
 
 
 def weighted_invariants_to_json(inv: WeightedCyclicInvariants) -> dict:
-    return {
-        "n": inv.n,
-        "r": float(inv.r),
-        "a": [{"re": float(v.real), "im": float(v.imag)} for v in inv.a],
-    }
+    return {"n": inv.n, "r": float(inv.r), "a": [_complex_to_json(v) for v in inv.a]}
 
 
 def weighted_invariants_from_json(obj) -> WeightedCyclicInvariants:
     where = "weighted invariants"
-    n = _require(obj, "n", int, where)
-    if isinstance(n, bool) or n < 1:
-        raise InputFormatError(f"{where}: 'n' must be a positive integer")
-    r = _require(obj, "r", (int, float), where)
-    entries = _require(obj, "a", list, where)
-    if len(entries) != n:
-        raise InputFormatError(f"{where}: 'a' must have length {n}")
-    chain = []
-    for entry in entries:
-        re = _require(entry, "re", (int, float), where + " (a)")
-        im = _require(entry, "im", (int, float), where + " (a)")
-        chain.append(complex(float(re), float(im)))
+    n = _int(obj, "n", where, minimum=1)
+    r = _numbers(obj, "r", where)
+    entries = _field(obj, "a", where)
+    if not isinstance(entries, list) or len(entries) != n:
+        raise InputFormatError(f"{where}: 'a' must be a list of length {n}")
+    chain = tuple(_complex(entry, where + " (a)") for entry in entries)
     try:
-        return WeightedCyclicInvariants(n=n, r=float(r), a=tuple(chain))
+        return WeightedCyclicInvariants(n=n, r=r, a=chain)
+    except ValueError as exc:
+        raise InputFormatError(f"{where}: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class ExperimentSpec:
+    """Monte-Carlo run description: dimensions, trial counts, seeds, budgets."""
+
+    n_values: tuple[int, ...]
+    trials: int
+    seed: int
+    pr_config: PhaseRetrievalConfig
+    tolerances: ToleranceConfig
+
+
+# The reader of each key an experiment spec section may set; omitted keys take
+# the config defaults, and pr_config's seed defaults to the spec seed.
+_SPEC_SECTIONS = {
+    "pr_config": {"max_restarts": _int, "residual_target": _numbers, "seed": _int},
+    "tolerances": dict.fromkeys(("rel_eq", "genericity_floor", "recovery_tol"), _numbers),
+}
+
+
+def experiment_spec_from_json(obj) -> ExperimentSpec:
+    where = "experiment spec"
+    n_values = _field(obj, "n_values", where)
+    if not isinstance(n_values, list) or not n_values:
+        raise InputFormatError(f"{where}: 'n_values' must be a nonempty list")
+    seed = _int(obj, "seed", where)
+    sections = {}
+    for section, readers in _SPEC_SECTIONS.items():
+        values = obj.get(section, {})
+        if not isinstance(values, dict) or not set(values) <= set(readers):
+            raise InputFormatError(
+                f"{where}: {section!r} must be an object with keys among {sorted(readers)}"
+            )
+        sections[section] = {
+            key: readers[key](values, key, f"{where} ({section})") for key in values
+        }
+    try:
+        return ExperimentSpec(
+            # each entry is read as the field itself, so errors name n_values
+            n_values=tuple(_int({"n_values": n}, "n_values", where, minimum=2) for n in n_values),
+            trials=_int(obj, "trials", where, minimum=1),
+            seed=seed,
+            pr_config=PhaseRetrievalConfig(**{"seed": seed, **sections["pr_config"]}),
+            tolerances=ToleranceConfig(**sections["tolerances"]),
+        )
     except ValueError as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
 

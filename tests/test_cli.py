@@ -68,6 +68,16 @@ class TestInvariantsCommand:
         src.write_text('{"n": 4, "re": [1.0')
         assert main(["invariants", str(src), str(tmp_path / "o.json")]) == 2
 
+    def test_deeply_nested_input(self, tmp_path):
+        src = tmp_path / "x.json"
+        src.write_text("[" * 200_000 + "]" * 200_000)
+        assert main(["invariants", str(src), str(tmp_path / "o.json")]) == 2
+
+    def test_unwritable_output(self, tmp_path):
+        src = tmp_path / "x.json"
+        write_vector(src, generic_signal(4, 2))
+        assert main(["invariants", str(src), str(tmp_path / "missing" / "o.json")]) == 2
+
     def test_require_generic_refuses(self, tmp_path):
         src = tmp_path / "x.json"
         out = tmp_path / "inv.json"
@@ -195,6 +205,14 @@ class TestVerifyCommand:
         write_vector(b, sample_random_signal(5, 11))
         assert main(["verify", str(a), str(b)]) == 2
 
+    def test_oversized_integer_entry(self, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        write_vector(a, sample_random_signal(2, 11))
+        dump_json({"n": 2, "re": [10**400, 1.0], "im": [0.0, 0.0]}, b)
+        # exit 1 would claim the vectors lie in different orbits
+        assert main(["verify", str(a), str(b)]) == 2
+
 
 class TestExperimentCommand:
     def test_spec_example_run(self, tmp_path):
@@ -260,6 +278,9 @@ class TestExperimentCommand:
             # max_iterations bounds no stage of recover_orbit
             {**base, "pr_config": {"max_iterations": 5}},
             {**base, "tolerances": {"recovery_tl": 1e-3}},
+            # spec values are read as typed JSON, never coerced
+            {"n_values": [3], "trials": 2.7, "seed": 1, "pr_config": {"max_restarts": True}},
+            {"n_values": [3.9], "trials": 1, "seed": "5", "tolerances": {"recovery_tol": "1e-3"}},
         ):
             spec_path = tmp_path / "spec.json"
             dump_json(spec, spec_path)

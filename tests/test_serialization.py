@@ -43,6 +43,12 @@ class TestComplexVector:
             {"n": 0, "re": [], "im": []},
             {"n": 2, "re": [1.0, "x"], "im": [0.0, 0.0]},
             [1, 2, 3],
+            # too large for a float
+            {"n": 2, "re": [10**400, 1.0], "im": [0.0, 0.0]},
+            # JSON numbers only: no strings, nulls or bools
+            {"n": 2, "re": ["1.5", 2.0], "im": [0.0, 0.0]},
+            {"n": 2, "re": [None, 1.0], "im": [0.0, 0.0]},
+            {"n": 2, "re": [True, False], "im": [0.0, 0.0]},
         ],
     )
     def test_rejects_malformed(self, obj):
@@ -60,6 +66,10 @@ class TestGroupElement:
     def test_rejects_missing_field(self):
         with pytest.raises(InputFormatError):
             group_element_from_json({"N": 5, "k": 1, "n": 2})
+
+    def test_rejects_bool_coordinate(self):
+        with pytest.raises(InputFormatError):
+            group_element_from_json({"N": 5, "k": True, "n": 2, "m": 3})
 
 
 class TestInvariantBundle:
@@ -85,6 +95,13 @@ class TestInvariantBundle:
         with pytest.raises(InputFormatError):
             invariants_from_json(obj)
 
+    @pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "huge-int"])
+    def test_rejects_non_number_power_sum(self, value):
+        obj = invariants_to_json(heisenberg_invariants(sample_random_signal(3, 4)))
+        obj["iN"]["re"] = value
+        with pytest.raises(InputFormatError):
+            invariants_from_json(obj)
+
 
 class TestWeightedInvariants:
     def test_round_trip(self):
@@ -97,6 +114,18 @@ class TestWeightedInvariants:
     def test_rejects_wrong_chain_length(self):
         with pytest.raises(InputFormatError):
             weighted_invariants_from_json({"n": 2, "r": 1.0, "a": [{"re": 1, "im": 0}]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"n": 1, "r": "1.0", "a": [{"re": 1.0, "im": 0.0}]},
+            {"n": 1, "r": True, "a": [{"re": 1.0, "im": 0.0}]},
+            {"n": 1, "r": 1.0, "a": [{"re": True, "im": 0.0}]},
+        ],
+    )
+    def test_rejects_non_number_values(self, obj):
+        with pytest.raises(InputFormatError):
+            weighted_invariants_from_json(obj)
 
 
 class TestFiles:
