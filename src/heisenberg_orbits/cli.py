@@ -34,6 +34,7 @@ from .invariants import heisenberg_invariants, is_generic
 from .phase_retrieval import PhaseRetrievalConfig
 from .pipeline import recover_orbit, verify_against_truth
 from .serialization import (
+    ExperimentSpec,
     complex_vector_from_json,
     complex_vector_to_json,
     dump_json,
@@ -138,53 +139,47 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _experiment_row(spec: ExperimentSpec, n: int, trial: int) -> tuple[list, bool]:
+    """One trial's CSV cells up to wall_ms, and whether its recovery succeeded."""
+    try:
+        x, seed = _sample_generic(n, spec.seed, trial, spec.tolerances.genericity_floor)
+        pr_cfg = replace(
+            spec.pr_config, seed=_derived_seed(spec.pr_config.seed, n, trial, 7919)
+        )
+        report = recover_orbit(heisenberg_invariants(x), pr_cfg, spec.tolerances)
+        _, dist, _ = verify_against_truth(report, x, spec.tolerances.recovery_tol)
+    except HeisenbergOrbitError as exc:
+        print(f"trial n={n} t={trial} failed: {exc}", file=sys.stderr)
+        nan = float("nan")
+        return [n, trial, "", 0, nan, "", nan, nan, nan, nan, nan], False
+    residuals = report.stage_residuals
+    return [
+        n, trial, seed, int(report.success), dist,
+        report.diagnostics["phase_retrieval"]["restarts_used"],
+        residuals.bm_inversion, residuals.bfm_inversion,
+        residuals.phase_retrieval, residuals.phase_fix,
+        residuals.invariant_match,
+    ], report.success
+
+
 def cmd_experiment(args) -> int:
     spec = experiment_spec_from_json(load_json(args.spec))
-    rows = []
     summaries = []
-    for n in spec.n_values:
-        successes = 0
-        for trial in range(spec.trials):
-            start = time.perf_counter()
-            try:
-                x, seed = _sample_generic(
-                    n, spec.seed, trial, spec.tolerances.genericity_floor
-                )
-                inv = heisenberg_invariants(x)
-                pr_cfg = replace(
-                    spec.pr_config, seed=_derived_seed(spec.pr_config.seed, n, trial, 7919)
-                )
-                report = recover_orbit(inv, pr_cfg, spec.tolerances)
-                _, dist, _ = verify_against_truth(
-                    report, x, spec.tolerances.recovery_tol
-                )
-                residuals = report.stage_residuals
-                success = report.success
-                row = [
-                    n, trial, seed, int(success), dist,
-                    report.diagnostics["phase_retrieval"]["restarts_used"],
-                    residuals.bm_inversion, residuals.bfm_inversion,
-                    residuals.phase_retrieval, residuals.phase_fix,
-                    residuals.invariant_match,
-                ]
-            except HeisenbergOrbitError as exc:
-                print(f"trial n={n} t={trial} failed: {exc}", file=sys.stderr)
-                success = False
-                row = [n, trial, "", 0, float("nan"), "", float("nan"),
-                       float("nan"), float("nan"), float("nan"), float("nan")]
-            wall_ms = (time.perf_counter() - start) * 1e3 if args.timing else 0.0
-            row.append(wall_ms if args.timing else 0)
-            rows.append(row)
-            successes += int(success)
-        summaries.append(
-            [n, "summary", "", f"{successes / spec.trials:.4f}",
-             "", "", "", "", "", "", "", ""]
-        )
+    # opened before the first trial, so an unwritable path fails at once
     with open(args.output, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in rows:
-            writer.writerow([_format_cell(v) for v in row])
+        for n in spec.n_values:
+            successes = 0
+            for trial in range(spec.trials):
+                start = time.perf_counter()
+                row, success = _experiment_row(spec, n, trial)
+                row.append((time.perf_counter() - start) * 1e3 if args.timing else 0)
+                writer.writerow([_format_cell(v) for v in row])
+                successes += success
+            summaries.append(
+                [n, "summary", "", f"{successes / spec.trials:.4f}", *[""] * 8]
+            )
         for row in summaries:
             writer.writerow([_format_cell(v) for v in row])
     return EXIT_OK

@@ -11,12 +11,12 @@ Heisenberg action.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistentInvariants, NonGenericInput, OrderMismatch
+from .errors import InconsistentInvariants, NonGenericInput
 from .inversion import invert_bispectrum
 from .invariants import unitary_bispectrum
 from .spectral import (
@@ -60,11 +60,9 @@ def apply_weighted_generator(v, power: int = 1) -> np.ndarray:
     return v * np.exp(2j * np.pi * power * weights / (3 * n))
 
 
-def weighted_invariants(v, n: int | None = None) -> WeightedCyclicInvariants:
+def weighted_invariants(v) -> WeightedCyclicInvariants:
     """Evaluate the invariant chain on v in C^n."""
     v = as_complex_vector(v)
-    if n is not None and n != len(v):
-        raise OrderMismatch(f"vector has dimension {len(v)}, expected {n}")
     n = len(v)
     a = np.empty(n, dtype=np.complex128)
     if n >= 2:
@@ -85,8 +83,9 @@ def recover_weighted(
     The first coordinate is taken real positive, each next one follows
     uniquely from the chain, and the leftover circle freedom is pinned by the
     cube of the last coordinate: the ratio a[n-1] / v_n**3 has unit modulus
-    for consistent data and its principal (3n)-th root theta rephases the
-    solution as (theta * v1, theta**2 * v2, ...), landing in the group orbit.
+    for consistent data, and the principal (3n)-th root theta of its phase
+    rephases the solution as (theta * v1, theta**2 * v2, ...), landing in
+    the group orbit.
     """
     n = inv.n
     if inv.r <= floor:
@@ -106,7 +105,7 @@ def recover_weighted(
         raise InconsistentInvariants(
             f"cube value inconsistent with the chain: |mu| = {abs(mu):.8f}"
         )
-    theta = principal_nth_root(mu, 3 * n, floor=floor)
+    theta = principal_nth_root(mu / abs(mu), 3 * n, floor=floor)
     weights = np.arange(1, n + 1)
     return v * theta ** weights
 
@@ -141,30 +140,13 @@ def recover_cyclic_orbit(
 
     Demonstrates that the cubic expressions V[i] V[j] conj(V[i+j]) of the
     spectrum V separate translation orbits: the output is some cyclic shift
-    of x whenever every Fourier coefficient of x is nonvanishing.
+    of x whenever every Fourier coefficient of x is nonvanishing. The
+    inversion raises NonGenericInput when one is at or below the floor.
     """
-    x = as_complex_vector(x)
-    spectrum = dft(x)
-    low = np.flatnonzero(np.abs(spectrum) <= floor)
-    if low.size:
-        raise NonGenericInput(
-            f"vanishing Fourier coefficients at indices {low.tolist()}"
-        )
     result = invert_bispectrum(
-        unitary_bispectrum(spectrum), floor=floor, rel_eq=rel_eq
+        unitary_bispectrum(dft(x)), floor=floor, rel_eq=rel_eq
     )
     return result.signal
-
-
-def _weak_compositions(total: int, parts: int):
-    # bar positions among total + parts - 1 slots
-    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for b in (*bars, total + parts - 1):
-            comp.append(b - prev - 1)
-            prev = b
-        yield comp
 
 
 def degree_audit(order: int, degree: int) -> int:
@@ -173,14 +155,12 @@ def degree_audit(order: int, degree: int) -> int:
     Every coordinate has weight one under the global phase, so a monomial
     x_0**a_0 * ... * x_{N-1}**a_{N-1} survives iff sum(a) = 0 mod N. The
     count is zero for every degree strictly between 0 and N, which is why
-    the Heisenberg action has no low-degree invariant polynomials.
+    the Heisenberg action has no low-degree invariant polynomials. Every
+    exponent vector of a degree-d monomial sums to d, so the test depends on
+    the degree alone: either all C(d + N - 1, N - 1) monomials pass or none.
     """
     if order < 2:
         raise ValueError("group order must be at least 2")
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    count = 0
-    for exponents in _weak_compositions(degree, order):
-        if sum(exponents) % order == 0:
-            count += 1
-    return count
+    return math.comb(degree + order - 1, order - 1) if degree % order == 0 else 0

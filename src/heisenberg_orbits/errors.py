@@ -21,10 +21,6 @@ class NotRealSignal(HeisenbergOrbitError):
     """A bispectrum expected to come from a real vector did not."""
 
 
-class ResidualTooLarge(HeisenbergOrbitError):
-    """Reconstruction residual exceeded the caller-supplied bound."""
-
-
 class InconsistentMagnitudes(HeisenbergOrbitError):
     """Magnitude data cannot come from any signal (energy balance broken)."""
 

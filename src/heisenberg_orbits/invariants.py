@@ -19,6 +19,7 @@ from .spectral import (
     as_complex_vector,
     dft,
     max_relative_deviation,
+    vanishing_coefficients,
 )
 
 
@@ -116,10 +117,8 @@ def is_generic(x, floor: float = DEFAULT_GENERICITY_FLOOR) -> GenericityReport:
     if not floor > 0:
         raise ValueError("floor must be strictly positive")
     x = as_complex_vector(x)
-    yhat = np.abs(dft(modulus_vector(x)))
-    zhat = np.abs(dft(fourier_modulus_vector(x)))
-    y_fail = tuple(int(k) for k in np.flatnonzero(yhat <= floor))
-    z_fail = tuple(int(k) for k in np.flatnonzero(zhat <= floor))
+    y_fail = tuple(vanishing_coefficients(dft(modulus_vector(x)), floor).tolist())
+    z_fail = tuple(vanishing_coefficients(dft(fourier_modulus_vector(x)), floor).tolist())
     return GenericityReport(
         generic=not y_fail and not z_fail,
         floor=floor,

@@ -3,12 +3,13 @@
 The inversion marches along frequencies. Writing B for the input matrix and
 V for the unknown spectrum:
 
-1. B[0, 0] = |V[0]|**2 * V[0], so V[0] = B[0, 0] / |B[0, 0]|**(2/3); the
-   magnitude and phase are separated here on purpose, avoiding the branch
-   ambiguity of a complex cube root.
-2. B[k, 0] = |V[k]|**2 * V[0] gives every squared magnitude; each estimate
-   must be real and positive for the input to be a genuine bispectrum of a
-   nonvanishing spectrum.
+1. B[0, 0] = |V[0]|**2 * V[0], so |V[0]| = |B[0, 0]|**(1/3) and
+   V[0] = B[0, 0] / |B[0, 0]|**(2/3); the magnitude and phase are separated
+   here on purpose, avoiding the branch ambiguity of a complex cube root.
+2. B[k, 0] = |V[k]|**2 * V[0] gives every magnitude as
+   |V[k]| = sqrt(B[k, 0] / V[0]); each quotient must be real for the input to
+   be a genuine bispectrum, and the magnitudes must pass the genericity rule
+   of `is_generic` (a non-positive quotient counts as a vanishing magnitude).
 3. arg B[1, k] = phi_1 + phi_k - phi_{k+1} turns every phase into
    phi_k = k * t + d_k with d_k accumulated from row B[1, .] and t = phi_1
    unknown; the wrap-around constraint phi_N = phi_0 (mod 2*pi) restricts t
@@ -25,13 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonGenericInput, NotRealSignal, ResidualTooLarge
+from .errors import NonGenericInput, NotRealSignal
 from .invariants import unitary_bispectrum
 from .spectral import (
     DEFAULT_GENERICITY_FLOOR,
     DEFAULT_REL_EQ,
     idft,
     max_relative_deviation,
+    vanishing_coefficients,
 )
 
 
@@ -59,7 +61,6 @@ def invert_bispectrum(
     B,
     floor: float = DEFAULT_GENERICITY_FLOOR,
     rel_eq: float = DEFAULT_REL_EQ,
-    max_residual: float | None = None,
 ) -> InversionResult:
     """Invert a bispectrum matrix to a canonical cyclic-shift representative.
 
@@ -68,11 +69,9 @@ def invert_bispectrum(
     B : (N, N) complex array
         Bispectrum of some spectrum with nonvanishing entries.
     floor : float
-        Genericity floor; magnitude estimates at or below it are rejected.
+        Genericity floor; spectra with a magnitude at or below it are rejected.
     rel_eq : float
         Maximum tolerated relative imaginary part in magnitude estimates.
-    max_residual : float, optional
-        When given, raise ResidualTooLarge if the replay residual exceeds it.
 
     Returns
     -------
@@ -83,10 +82,8 @@ def invert_bispectrum(
     Raises
     ------
     NonGenericInput
-        If the leading entry or any magnitude estimate falls below the floor,
-        or a magnitude estimate is not real within rel_eq.
-    ResidualTooLarge
-        If max_residual is given and exceeded.
+        If |V[0]| or any magnitude estimate is at or below the floor, or a
+        magnitude estimate is not real within rel_eq.
     """
     B = np.asarray(B, dtype=np.complex128)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] == 0:
@@ -94,22 +91,22 @@ def invert_bispectrum(
     n = B.shape[0]
 
     b00 = complex(B[0, 0])
-    if abs(b00) <= floor:
+    if vanishing_coefficients(abs(b00) ** (1.0 / 3.0), floor).size:
         raise NonGenericInput("leading bispectrum entry is numerically zero")
     v0 = b00 / abs(b00) ** (2.0 / 3.0)
 
     power = B[:, 0] / v0
-    low = np.flatnonzero(power.real <= floor)
+    mags = np.sqrt(np.maximum(power.real, 0.0))
+    low = vanishing_coefficients(mags, floor)
     if low.size:
         raise NonGenericInput(
-            f"squared-magnitude estimates at or below floor at indices {low.tolist()}"
+            f"spectrum magnitudes at or below floor at indices {low.tolist()}"
         )
     not_real = np.flatnonzero(np.abs(power.imag) > rel_eq * np.abs(power))
     if not_real.size:
         raise NonGenericInput(
             f"squared-magnitude estimates are not real at indices {not_real.tolist()}"
         )
-    mags = np.sqrt(power.real)
 
     phi0 = _stable_angle(b00, rel_eq)
     d = np.zeros(n + 1)
@@ -125,10 +122,6 @@ def invert_bispectrum(
 
     signal = idft(spectrum)
     residual = max_relative_deviation(B, unitary_bispectrum(spectrum))
-    if max_residual is not None and residual > max_residual:
-        raise ResidualTooLarge(
-            f"replay residual {residual:.3e} exceeds bound {max_residual:.3e}"
-        )
     return InversionResult(spectrum=spectrum, signal=signal, residual=residual)
 
 

@@ -18,7 +18,10 @@ Stages:
 3. Fix the remaining global phase with the power-sum invariant: the ratio
    mu = bundle.power_sum / power_sum(candidate) has unit modulus for the
    orbit class, and multiplying by any N-th root of mu lands the candidate
-   in the orbit. The principal root keeps the choice deterministic.
+   in the orbit. The root is taken of mu / |mu|, so it only rotates the
+   candidate: a root of modulus |mu|**(1/N) would rescale a wrong class
+   until its power sum matched the bundle. The principal root keeps the
+   choice deterministic.
 4. The final verification values (recomputed bundle against the input) are
    reported; success means the accepted candidate passed them.
 """
@@ -142,7 +145,7 @@ def recover_orbit(
         if abs(abs(ratio) - 1.0) > PHASE_RATIO_BAND:
             power_rejected += 1
             continue
-        lam = principal_nth_root(ratio, n, floor=tol.genericity_floor)
+        lam = principal_nth_root(ratio / abs(ratio), n, floor=tol.genericity_floor)
         fixed = lam * candidate
         fix_residual = abs(power_invariant(fixed) - inv.power_sum) / max(
             abs(inv.power_sum), 1.0

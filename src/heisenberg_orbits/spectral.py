@@ -38,6 +38,17 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be strictly positive")
 
 
+def vanishing_coefficients(V, floor: float = DEFAULT_GENERICITY_FLOOR) -> np.ndarray:
+    """Indices k with |V[k]| <= floor: the package's one genericity rule.
+
+    A spectrum is generic when this is empty. `is_generic` applies it to the
+    transforms of the squared-modulus and squared-Fourier-modulus vectors,
+    and the bispectrum inversion to the magnitudes it recovers, so the two
+    agree on which spectra vanish.
+    """
+    return np.flatnonzero(np.abs(V) <= floor)
+
+
 def as_complex_vector(x) -> np.ndarray:
     """Validate x as a nonempty 1-D vector of finite entries, as complex128."""
     arr = np.asarray(x, dtype=np.complex128)

@@ -271,6 +271,16 @@ class TestExperimentCommand:
         assert main(["experiment", str(explicit_path), str(third)]) == 0
         assert third.read_bytes() == first.read_bytes()
 
+    def test_unwritable_output_fails_before_any_trial(self, tmp_path, monkeypatch):
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran before the output was opened")
+
+        monkeypatch.setattr("heisenberg_orbits.cli.recover_orbit", no_trial)
+        spec_path = tmp_path / "spec.json"
+        dump_json({"n_values": [3], "trials": 1, "seed": 1}, spec_path)
+        out_path = tmp_path / "missing" / "o.csv"
+        assert main(["experiment", str(spec_path), str(out_path)]) == 2
+
     def test_malformed_spec(self, tmp_path):
         base = {"n_values": [3], "trials": 1, "seed": 1}
         for spec in (

@@ -1,5 +1,6 @@
 """Weighted cyclic actions, regular-representation recovery, degree audit."""
 
+import itertools
 import math
 
 import numpy as np
@@ -162,3 +163,17 @@ class TestDegreeAudit:
     def test_multiples_of_order(self):
         assert degree_audit(3, 6) == math.comb(6 + 2, 2)
         assert degree_audit(4, 8) == math.comb(8 + 3, 3)
+
+    def test_matches_monomial_enumeration(self):
+        # reference: list every degree-d monomial as a multiset of coordinate
+        # indices and apply the weight test to its exponent sum
+        for order in range(2, 5):
+            for degree in range(1, 9):
+                count = sum(
+                    1
+                    for monomial in itertools.combinations_with_replacement(
+                        range(order), degree
+                    )
+                    if len(monomial) % order == 0
+                )
+                assert degree_audit(order, degree) == count

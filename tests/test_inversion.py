@@ -6,17 +6,28 @@ import pytest
 from heisenberg_orbits import (
     NonGenericInput,
     NotRealSignal,
-    ResidualTooLarge,
     dft,
     invert_bispectrum,
     invert_real_bispectrum,
+    is_generic,
     modulus_bispectrum,
     modulus_vector,
+    recover_cyclic_orbit,
     sample_random_signal,
     unitary_bispectrum,
 )
 
-from helpers import generic_real_signal, min_shift_distance
+from helpers import generic_real_signal, generic_signal, min_shift_distance
+
+FLOOR = 1e-8
+
+
+def with_small_pair(modulus):
+    """A real vector whose one conjugate pair of coefficients has the given modulus."""
+    spectrum = dft(generic_real_signal(9, 74))
+    spectrum[2] *= modulus / abs(spectrum[2])
+    spectrum[7] = np.conj(spectrum[2])
+    return np.fft.ifft(spectrum).real
 
 
 class TestInvertBispectrum:
@@ -58,13 +69,38 @@ class TestInvertBispectrum:
         B = unitary_bispectrum(dft(generic_real_signal(5, 72)))
         corrupted = B.copy()
         corrupted[3, 2] *= np.exp(0.5j)  # off the consumed row and column
-        with pytest.raises(ResidualTooLarge):
-            invert_bispectrum(corrupted, max_residual=1e-6)
+        assert invert_bispectrum(corrupted).residual > 1e-6
 
     def test_zero_leading_entry(self):
         B = np.zeros((4, 4), dtype=complex)
         with pytest.raises(NonGenericInput):
             invert_bispectrum(B)
+
+
+class TestGenericityFloor:
+    """The inversion floors |V[k]| exactly as is_generic does."""
+
+    def test_generic_input_inverts(self):
+        # |dft(y)[16]| = 3.2e-5: above the floor, but its square is not
+        x = generic_signal(32, 1916962712)
+        assert is_generic(x, FLOOR)
+        y = invert_real_bispectrum(modulus_bispectrum(x))
+        truth = modulus_vector(x)
+        assert min_shift_distance(truth, y) <= 1e-8 * np.linalg.norm(truth)
+
+    @pytest.mark.parametrize(
+        "invert",
+        [
+            lambda y: invert_real_bispectrum(unitary_bispectrum(dft(y))),
+            recover_cyclic_orbit,
+        ],
+        ids=["invert_real_bispectrum", "recover_cyclic_orbit"],
+    )
+    def test_pair_at_the_floor(self, invert):
+        y = with_small_pair(10 * FLOOR)
+        assert min_shift_distance(y, invert(y)) <= 1e-8 * np.linalg.norm(y)
+        with pytest.raises(NonGenericInput):
+            invert(with_small_pair(FLOOR / 10))
 
 
 class TestInvertRealBispectrum:

@@ -78,6 +78,21 @@ class TestRecoverOrbit:
         assert eq_rotated
         assert not eq_original
 
+    @pytest.mark.parametrize(
+        "signal_seed, start_seed",
+        [(1144027673, 684183551), (261968285, 1052588021)],
+    )
+    def test_phase_fix_does_not_rescale_a_wrong_class(self, signal_seed, start_seed):
+        # a root of the power-sum ratio with modulus |ratio|**(1/N) rescaled
+        # wrong classes until their power sum matched, and these two passed
+        x = generic_signal(8, signal_seed)
+        report = recover_orbit(
+            heisenberg_invariants(x),
+            PhaseRetrievalConfig(seed=start_seed, max_restarts=4000),
+        )
+        assert report.success
+        assert verify_against_truth(report, x, 1e-6)[0]
+
     def test_no_convergence_returns_best_effort_report(self):
         x = generic_signal(6, 802)
         inv = heisenberg_invariants(x)
