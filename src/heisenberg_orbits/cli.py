@@ -121,8 +121,6 @@ def cmd_recover(args) -> int:
 def cmd_verify(args) -> int:
     x = complex_vector_from_json(load_json(args.input))
     x2 = complex_vector_from_json(load_json(args.input2))
-    if len(x) != len(x2):
-        raise OrderMismatch(f"dimensions differ: {len(x)} vs {len(x2)}")
     dist, witness = orbit_distance(x, x2)
     equivalent = within_orbit_tolerance(dist, x, args.tol)
     print(f"distance: {dist:.12e}")

@@ -1,8 +1,15 @@
-"""Shared test helpers: generic sampling, zero padding and shift-enumeration oracles."""
+"""Shared test helpers: generic sampling, zero padding and enumeration oracles."""
 
 import numpy as np
 
-from heisenberg_orbits import is_generic, sample_random_signal
+from heisenberg_orbits import (
+    GroupElement,
+    OrderMismatch,
+    identity,
+    is_generic,
+    sample_random_signal,
+)
+from heisenberg_orbits.spectral import as_complex_vector
 
 
 def generic_signal(n, seed, floor=1e-8):
@@ -44,3 +51,33 @@ def min_shift_distance(reference, candidate):
         float(np.linalg.norm(candidate - np.roll(reference, -s)))
         for s in range(len(reference))
     )
+
+
+def exhaustive_orbit_distance(x, x2):
+    """Reference oracle: the loop over all N**2 pairs (k, n), every m at once.
+
+    `orbit_distance` must return the same distance float and witness.
+    """
+    x = as_complex_vector(x)
+    x2 = as_complex_vector(x2)
+    if len(x) != len(x2):
+        raise OrderMismatch(f"dimensions differ: {len(x)} vs {len(x2)}")
+    order = len(x)
+    j = np.arange(order)
+    modulations = np.exp(2j * np.pi * np.outer(np.arange(order), j) / order)
+    phases = np.exp(2j * np.pi * np.arange(order) / order)
+
+    best_dist = np.inf
+    best_g = identity(order)
+    for k in range(order):
+        shifted = np.roll(x, -k)
+        for n in range(order):
+            modulated = shifted * modulations[n]
+            # all m at once; argmin returns the first minimizer
+            diffs = phases[:, None] * modulated[None, :] - x2[None, :]
+            dists = np.linalg.norm(diffs, axis=1)
+            m = int(np.argmin(dists))
+            if dists[m] < best_dist:
+                best_dist = float(dists[m])
+                best_g = GroupElement(order, k, n, m)
+    return best_dist, best_g

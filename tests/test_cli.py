@@ -198,12 +198,13 @@ class TestVerifyCommand:
         write_vector(b, np.exp(1j * np.pi / 8) * x)
         assert main(["verify", str(a), str(b)]) == 1
 
-    def test_dimension_mismatch(self, tmp_path):
+    def test_dimension_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
         write_vector(a, sample_random_signal(4, 11))
         write_vector(b, sample_random_signal(5, 11))
         assert main(["verify", str(a), str(b)]) == 2
+        assert "dimensions differ: 4 vs 5" in capsys.readouterr().err
 
     def test_oversized_integer_entry(self, tmp_path):
         a = tmp_path / "a.json"
@@ -378,3 +379,37 @@ class TestVerifyOrbitWitness:
         printed = capsys.readouterr().out
         dist, _ = orbit_distance(x, moved)
         assert f"{dist:.12e}" in printed
+
+    @pytest.mark.parametrize(
+        "kind,code,expected",
+        [
+            (
+                "member",
+                0,
+                "distance: 1.299648206042e-14\n"
+                "witness: {'N': 16, 'k': 5, 'n': 11, 'm': 3}\n"
+                "equivalent: true\n",
+            ),
+            (
+                "non-member",
+                1,
+                "distance: 2.966676679605e+00\n"
+                "witness: {'N': 16, 'k': 10, 'n': 4, 'm': 5}\n"
+                "equivalent: false\n",
+            ),
+        ],
+    )
+    def test_pinned_output(self, tmp_path, capsys, kind, code, expected):
+        # captured from the exhaustive N**3 loop; a changed distance digit,
+        # witness or tie-break shows here
+        x = generic_signal(16, 41)
+        if kind == "member":
+            x2 = act(GroupElement(16, 5, 11, 3), x)
+        else:
+            x2 = generic_signal(16, 42)
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        write_vector(a, x)
+        write_vector(b, x2)
+        assert main(["verify", str(a), str(b)]) == code
+        assert capsys.readouterr().out == expected

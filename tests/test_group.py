@@ -1,4 +1,4 @@
-"""Group law, action, and the brute-force orbit oracle."""
+"""Group law, action, and the exact orbit oracle."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,8 @@ from heisenberg_orbits import (
     orbit_equivalent,
     sample_random_signal,
 )
+
+from helpers import exhaustive_orbit_distance, generic_signal
 
 
 class TestGroupLaw:
@@ -118,7 +120,67 @@ class TestAction:
             act(GroupElement(4, 0, 0, 0), np.ones(5, dtype=complex))
 
 
+def _oracle_pair(kind, n, scale):
+    """One input pair for the oracle reference test, x scaled before acting."""
+    x = scale * generic_signal(n, 100 + n)
+    if kind == "random":
+        return x, scale * generic_signal(n, 200 + n)
+    if kind == "member":
+        return x, act(GroupElement(n, 2, 3, 4), x)
+    if kind == "noisy-member":
+        noise = 1e-9 * scale * sample_random_signal(n, 300 + n)
+        return x, act(GroupElement(n, 2, 3, 4), x) + noise
+    if kind == "spike-member":
+        # one entry 1e200 times the rest: most exact squared norms overflow
+        x[0] *= 1e200
+        return x, act(GroupElement(n, 2, 3, 4), x)
+    zeros = np.zeros(n, dtype=complex)
+    ones = np.ones(n, dtype=complex)
+    basis = np.eye(n, dtype=complex)
+    return {
+        "constant": (ones, ones),
+        "constant-scaled": (ones, 2 * ones),
+        "basis": (basis[0], basis[1 % n]),
+        "zero-x": (zeros, x),
+        "zero-x2": (x, zeros),
+        "zero-both": (zeros, zeros),
+    }[kind]
+
+
+ORACLE_CASES = (
+    [
+        (kind, n, 1.0)
+        for n in (1, 2, 3, 4, 5, 6, 8, 12, 16, 32)
+        for kind in ("random", "member", "noisy-member")
+    ]
+    + [
+        (kind, n, 1.0)
+        for n in (1, 4, 6, 8)
+        for kind in (
+            "constant", "constant-scaled", "basis", "spike-member",
+            "zero-x", "zero-x2", "zero-both",
+        )
+    ]
+    + [
+        (kind, n, scale)
+        for n in (6, 16)
+        for scale in (1e-200, 1e-160, 1e150, 1e155)
+        for kind in ("random", "member", "noisy-member")
+    ]
+)
+
+
 class TestOrbitOracle:
+    @pytest.mark.parametrize(
+        "kind,n,scale", ORACLE_CASES, ids=[f"{k}-N{n}-{s:g}" for k, n, s in ORACLE_CASES]
+    )
+    def test_matches_exhaustive_reference(self, kind, n, scale):
+        # the same float and witness, ties and overflow or underflow included
+        x, x2 = _oracle_pair(kind, n, scale)
+        with np.errstate(over="ignore"):
+            expected = exhaustive_orbit_distance(x, x2)
+            assert orbit_distance(x, x2) == expected
+
     def test_self_distance(self):
         x = sample_random_signal(4, 8)
         dist, witness = orbit_distance(x, x)
