@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification negative, 2 input or format error,
-3 non-generic or degenerate input, 4 convergence failure. All randomness
-flows from explicit seeds; outputs are byte-identical across repeated runs
-unless --timing is requested.
+3 any other package error (non-generic or degenerate input), 4 convergence
+failure. All randomness flows from explicit seeds; outputs are
+byte-identical across repeated runs unless --timing is requested.
 """
 
 from __future__ import annotations
@@ -12,22 +12,12 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
 
 import numpy as np
 
-from .errors import (
-    HeisenbergOrbitError,
-    InconsistentInvariants,
-    InconsistentMagnitudes,
-    InputFormatError,
-    NonGenericInput,
-    NotRealSignal,
-    OrderMismatch,
-    PhaseUnresolvable,
-    ZeroInput,
-)
+from .errors import HeisenbergOrbitError, InputFormatError, NonGenericInput, OrderMismatch
 from .cyclic import degree_audit, recover_cyclic_orbit, recover_weighted, weighted_invariants
 from .group import orbit_distance, within_orbit_tolerance
 from .invariants import heisenberg_invariants, is_generic
@@ -150,13 +140,10 @@ def _experiment_row(spec: ExperimentSpec, n: int, trial: int) -> tuple[list, boo
         print(f"trial n={n} t={trial} failed: {exc}", file=sys.stderr)
         nan = float("nan")
         return [n, trial, "", 0, nan, "", nan, nan, nan, nan, nan], False
-    residuals = report.stage_residuals
     return [
         n, trial, seed, int(report.success), dist,
         report.diagnostics["phase_retrieval"]["restarts_used"],
-        residuals.bm_inversion, residuals.bfm_inversion,
-        residuals.phase_retrieval, residuals.phase_fix,
-        residuals.invariant_match,
+        *astuple(report.stage_residuals),  # in the order of the res_* columns
     ], report.success
 
 
@@ -276,14 +263,7 @@ def main(argv=None) -> int:
     except (InputFormatError, OrderMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (
-        NonGenericInput,
-        NotRealSignal,
-        ZeroInput,
-        PhaseUnresolvable,
-        InconsistentInvariants,
-        InconsistentMagnitudes,
-    ) as exc:
+    except HeisenbergOrbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 

@@ -155,7 +155,13 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
 
 
 def within_orbit_tolerance(dist: float, x, tol: float) -> bool:
-    """True iff an orbit distance from x is within tol * max(||x||, 1)."""
+    """True iff an orbit distance from x is within tol * max(||x||, 1).
+
+    Raises ValueError unless tol is strictly positive, the rule that
+    ToleranceConfig applies to recovery_tol.
+    """
+    if not tol > 0:
+        raise ValueError(f"orbit tolerance must be strictly positive, got {tol}")
     return dist <= tol * max(float(np.linalg.norm(as_complex_vector(x))), 1.0)
 
 

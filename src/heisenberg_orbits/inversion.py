@@ -46,17 +46,6 @@ class InversionResult:
     residual: float
 
 
-def _stable_angle(value: complex, rel_eq: float) -> float:
-    # Bispectra of real vectors have structurally real entries (for example
-    # row-one entries proportional to the zero-frequency coefficient), which
-    # sit exactly on the +-pi branch cut when negative. Snapping near-real
-    # values onto the axis keeps the canonical shift choice stable under
-    # roundoff, so equal-up-to-shift inputs invert to the same representative.
-    if abs(value.imag) <= rel_eq * abs(value):
-        return 0.0 if value.real >= 0 else float(np.pi)
-    return float(np.angle(value))
-
-
 def invert_bispectrum(
     B,
     floor: float = DEFAULT_GENERICITY_FLOOR,
@@ -108,17 +97,24 @@ def invert_bispectrum(
             f"squared-magnitude estimates are not real at indices {not_real.tolist()}"
         )
 
-    phi0 = _stable_angle(b00, rel_eq)
-    d = np.zeros(n + 1)
-    for k in range(1, n):
-        d[k + 1] = d[k] - _stable_angle(complex(B[1, k]), rel_eq)
-    t = (phi0 - d[n]) / n
+    # Bispectra of real vectors have structurally real entries (for example
+    # row-one entries proportional to the zero-frequency coefficient), which
+    # sit exactly on the +-pi branch cut when negative. Snapping near-real
+    # values onto the axis keeps the canonical shift choice stable under
+    # roundoff, so equal-up-to-shift inputs invert to the same representative.
+    row = np.concatenate(([b00], B[1, 1:] if n > 1 else []))
+    angles = np.where(
+        np.abs(row.imag) <= rel_eq * np.abs(row),
+        np.where(row.real >= 0, 0.0, np.pi),
+        np.angle(row),
+    )
+    # d[j] holds d_{j+1} of step 3: d_1 = 0 and d_{k+1} = d_k - arg B[1, k]
+    d = np.subtract.accumulate(np.concatenate(([0.0], angles[1:])))
+    t = (angles[0] - d[-1]) / n
 
     spectrum = np.empty(n, dtype=np.complex128)
     spectrum[0] = v0
-    if n > 1:
-        ks = np.arange(1, n)
-        spectrum[1:] = mags[1:] * np.exp(1j * (ks * t + d[1:n]))
+    spectrum[1:] = mags[1:] * np.exp(1j * (np.arange(1, n) * t + d[:-1]))
 
     signal = idft(spectrum)
     residual = max_relative_deviation(B, unitary_bispectrum(spectrum))

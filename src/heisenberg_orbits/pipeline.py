@@ -101,8 +101,16 @@ def recover_orbit(
     accepted: its power-sum magnitude matches the bundle within the
     consistency band, and after the global-phase fix the fully recomputed
     bundle matches within the recovery tolerance. The first accepted start
-    wins. Rejections are counted per screen in diagnostics["phase_retrieval"],
-    so callers can tell an exhausted budget from unsolvable or tampered data.
+    wins.
+
+    The report keeps each number once. stage_residuals holds one residual
+    per stage (nan for a phase fix that never ran) and success says whether
+    a start was accepted. diagnostics holds the rest: "phase_retrieval"
+    counts the starts used and the rejections per screen, so callers can
+    tell an exhausted budget from unsolvable or tampered data, and gives the
+    iteration count of the candidate's start; "phase_fix" gives the accepted
+    start's |power-sum ratio| (None when no start was accepted);
+    "verification" gives the recovery tolerance.
 
     Success is guaranteed only for bundles of generic vectors, and only with
     the probability that the multistart budget reaches the bundle-consistent
@@ -157,8 +165,7 @@ def recover_orbit(
         if match > tol.recovery_tol:
             verify_rejected += 1
             continue
-        accepted, candidate = True, fixed
-        phase_fix = {"ratio_modulus": abs(ratio), "residual": fix_residual}
+        accepted, candidate, ratio_modulus = True, fixed, abs(ratio)
         break
     else:
         if converged > 0:
@@ -167,25 +174,21 @@ def recover_orbit(
                 f"{pr_cfg.max_restarts} starts, none consistent with the invariant "
                 "bundle; the bundle is inconsistent or the budget too small"
             )
-        accepted, fix_residual, phase_fix = False, math.nan, {"skipped": True}
+        accepted, fix_residual, ratio_modulus = False, math.nan, None
         residual, candidate, iterations = best
         match = invariant_distance(heisenberg_invariants(candidate), inv)
 
+    # a number that stage_residuals or success already holds stays out of here
     diagnostics: dict[str, Any] = {
-        "bm_inversion": {"residual": res_bm},
-        "bfm_inversion": {"residual": res_bfm},
         "phase_retrieval": {
-            "method": "newton-multistart",
-            "converged": accepted,
-            "residual": residual,
             "restarts_used": start + 1,
             "iterations_last": iterations,
             "converged_starts": converged,
             "power_rejected": power_rejected,
             "verify_rejected": verify_rejected,
         },
-        "phase_fix": phase_fix,
-        "verification": {"invariant_distance": match, "tolerance": tol.recovery_tol},
+        "phase_fix": {"ratio_modulus": ratio_modulus},
+        "verification": {"tolerance": tol.recovery_tol},
     }
     return OrbitRecoveryReport(
         candidate=candidate,

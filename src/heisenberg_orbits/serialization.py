@@ -2,8 +2,11 @@
 
 Complex vectors: {"n": N, "re": [...], "im": [...]}. Complex matrices split
 the same way with nested lists. All values assume the package-wide transform
-convention documented in spectral.py. Not-a-number residuals serialize as
-null. The experiment spec lives here too, with its dataclass.
+convention documented in spectral.py. A recovery report holds the
+candidate, success, one stage_residuals entry per StageResiduals field (a
+not-a-number residual serializes as null) and the diagnostics that
+recover_orbit documents. The experiment spec lives here too, with its
+dataclass.
 
 Every input is decoded through the same private readers: an integer field is
 a JSON integer (not a bool), and a number field holds finite JSON numbers of
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -202,16 +205,11 @@ def _nan_to_null(value: float):
 
 
 def recovery_report_to_json(report: OrbitRecoveryReport) -> dict:
-    residuals = report.stage_residuals
     return {
         "candidate": complex_vector_to_json(report.candidate),
         "success": bool(report.success),
         "stage_residuals": {
-            "bm_inversion": _nan_to_null(residuals.bm_inversion),
-            "bfm_inversion": _nan_to_null(residuals.bfm_inversion),
-            "phase_retrieval": _nan_to_null(residuals.phase_retrieval),
-            "phase_fix": _nan_to_null(residuals.phase_fix),
-            "invariant_match": _nan_to_null(residuals.invariant_match),
+            name: _nan_to_null(value) for name, value in asdict(report.stage_residuals).items()
         },
         "diagnostics": report.diagnostics,
     }

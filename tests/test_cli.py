@@ -14,6 +14,7 @@ from heisenberg_orbits import (
     orbit_distance,
     sample_random_signal,
 )
+from heisenberg_orbits import errors
 from heisenberg_orbits.cli import main
 from heisenberg_orbits.serialization import (
     complex_vector_from_json,
@@ -34,22 +35,30 @@ def write_vector(path, x):
 REPORT_KEYS = {"candidate", "success", "stage_residuals", "diagnostics"}
 STAGE_KEYS = {"bm_inversion", "bfm_inversion", "phase_retrieval", "phase_fix", "invariant_match"}
 SEARCH_KEYS = {
-    "method", "converged", "residual", "restarts_used", "iterations_last",
-    "converged_starts", "power_rejected", "verify_rejected",
+    "restarts_used", "iterations_last", "converged_starts", "power_rejected", "verify_rejected",
 }
 
+PACKAGE_ERROR_EXITS = [
+    (errors.InputFormatError, 2),
+    (errors.OrderMismatch, 2),
+    (errors.ZeroInput, 3),
+    (errors.NonGenericInput, 3),
+    (errors.NotRealSignal, 3),
+    (errors.InconsistentMagnitudes, 3),
+    (errors.PhaseUnresolvable, 3),
+    (errors.InconsistentInvariants, 3),
+]
 
-def assert_report_layout(report, phase_fix_keys):
+
+def assert_report_layout(report):
+    # diagnostics holds no copy of a stage residual or of success
     assert set(report) == REPORT_KEYS
     assert set(report["stage_residuals"]) == STAGE_KEYS
     diagnostics = report["diagnostics"]
-    assert set(diagnostics) == {
-        "bm_inversion", "bfm_inversion", "phase_retrieval", "phase_fix", "verification",
-    }
-    assert set(diagnostics["bm_inversion"]) == set(diagnostics["bfm_inversion"]) == {"residual"}
+    assert set(diagnostics) == {"phase_retrieval", "phase_fix", "verification"}
     assert set(diagnostics["phase_retrieval"]) == SEARCH_KEYS
-    assert set(diagnostics["phase_fix"]) == phase_fix_keys
-    assert set(diagnostics["verification"]) == {"invariant_distance", "tolerance"}
+    assert set(diagnostics["phase_fix"]) == {"ratio_modulus"}
+    assert set(diagnostics["verification"]) == {"tolerance"}
 
 
 class TestInvariantsCommand:
@@ -111,7 +120,8 @@ class TestRecoverCommand:
         )
         report = load_json(rec_path)
         assert report["success"] is True
-        assert_report_layout(report, {"ratio_modulus", "residual"})
+        assert_report_layout(report)
+        assert abs(report["diagnostics"]["phase_fix"]["ratio_modulus"] - 1.0) <= 1e-3
         write_vector(cand_path, complex_vector_from_json(report["candidate"]))
         assert main(["verify", str(src), str(cand_path), "--tol", "1e-6"]) == 0
 
@@ -160,8 +170,24 @@ class TestRecoverCommand:
         report = load_json(rec_path)
         assert report["success"] is False
         assert report["stage_residuals"]["phase_fix"] is None
-        assert_report_layout(report, {"skipped"})
-        assert report["diagnostics"]["phase_fix"] == {"skipped": True}
+        assert_report_layout(report)
+        assert report["diagnostics"]["phase_fix"] == {"ratio_modulus": None}
+
+    @pytest.mark.parametrize("error,code", PACKAGE_ERROR_EXITS)
+    def test_exit_code_per_package_error(self, tmp_path, monkeypatch, capsys, error, code):
+        # every package error has a pinned exit code; a new one fails here first
+        assert {e for e, _ in PACKAGE_ERROR_EXITS} == set(
+            errors.HeisenbergOrbitError.__subclasses__()
+        )
+
+        def fail(*args, **kwargs):
+            raise error("stage failed")
+
+        monkeypatch.setattr("heisenberg_orbits.cli.recover_orbit", fail)
+        inv_path = tmp_path / "inv.json"
+        dump_json(invariants_to_json(heisenberg_invariants(generic_signal(4, 11))), inv_path)
+        assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == code
+        assert capsys.readouterr().err == "error: stage failed\n"
 
     def test_max_iterations_flag_rejected(self, tmp_path):
         # Newton starts have a fixed iteration cap, so recover takes no budget for it
@@ -205,6 +231,16 @@ class TestVerifyCommand:
         write_vector(b, sample_random_signal(5, 11))
         assert main(["verify", str(a), str(b)]) == 2
         assert "dimensions differ: 4 vs 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_non_positive_tolerance_rejected(self, tmp_path, capsys, tol):
+        # these printed "equivalent: false", or true at 0 for identical vectors
+        a = tmp_path / "a.json"
+        write_vector(a, generic_signal(4, 8))
+        assert main(["verify", str(a), str(a), "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "strictly positive" in captured.err
 
     def test_oversized_integer_entry(self, tmp_path):
         a = tmp_path / "a.json"
@@ -271,6 +307,21 @@ class TestExperimentCommand:
         third = tmp_path / "c.csv"
         assert main(["experiment", str(explicit_path), str(third)]) == 0
         assert third.read_bytes() == first.read_bytes()
+
+    def test_failed_trial_row(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise errors.PhaseUnresolvable("no consistent start")
+
+        monkeypatch.setattr("heisenberg_orbits.cli.recover_orbit", fail)
+        spec_path = tmp_path / "spec.json"
+        out_path = tmp_path / "out.csv"
+        dump_json({"n_values": [3], "trials": 1, "seed": 1}, spec_path)
+        assert main(["experiment", str(spec_path), str(out_path)]) == 0
+        assert out_path.read_text().splitlines()[1:] == [
+            "3,0,,0,nan,,nan,nan,nan,nan,nan,0",
+            "3,summary,,0.0000,,,,,,,,",
+        ]
+        assert capsys.readouterr().err == "trial n=3 t=0 failed: no consistent start\n"
 
     def test_unwritable_output_fails_before_any_trial(self, tmp_path, monkeypatch):
         def no_trial(*args, **kwargs):
