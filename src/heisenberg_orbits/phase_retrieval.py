@@ -12,6 +12,7 @@ invariant, and must screen classes themselves when the class matters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,15 @@ from .spectral import (
 )
 
 ENERGY_BALANCE_TOL = 1e-6
+
+# Gauss-Newton line search: step lengths 1, 1/2, ..., 1/32, tried in order
+LINE_SEARCH_STEPS = 0.5 ** np.arange(6.0)
+
+# error_reduction's residual gate counts a smaller target as the floor, which
+# keeps its margin far above rounding, and is off once sum(sqrt(y)) reaches
+# the bound
+ER_GATE_TARGET_FLOOR = 2.0**-40
+ER_GATE_DATA_BOUND = 1e150
 
 
 @dataclass(frozen=True)
@@ -133,6 +143,19 @@ def _project_phases(values, target_mags):
     return target_mags * unit
 
 
+def _validated_start(y_mag, z_mag, initial_phases):
+    y, z = _validated_magnitudes(y_mag, z_mag)
+    phases = as_real_vector(initial_phases)
+    if len(phases) != len(y):
+        raise OrderMismatch(f"phase count differs from dimension: {len(phases)} vs {len(y)}")
+    return y, z, phases
+
+
+def _norm(v) -> float:
+    # what np.linalg.norm computes for a real 1-D array, without its overhead
+    return math.sqrt(v.dot(v))
+
+
 def error_reduction(
     y_mag,
     z_mag,
@@ -148,9 +171,22 @@ def error_reduction(
     recorded at the start and after every iteration. That sequence is
     non-increasing: each step projects onto the nearest point of one
     constraint set, so the distance to the other set cannot grow.
+
+    The run stops at the first iterate whose residual is at most
+    t = residual_target, and the residual is evaluated only where that can
+    happen. residual <= t forces every | |X_k| - sqrt(z_k) | below
+    max(t * (max sqrt(z) + e), sqrt(t)), e the frequency error, so an iterate
+    whose e exceeds 2 * sqrt(N) times the sum of those two terms (t raised
+    to at least 2**-40, which covers rounding) cannot stop the run and its
+    residual is skipped. Skipping cannot change a result: with
+    sum(sqrt(y_mag)) below 1e150 no residual is nan, so the full check would
+    have continued from every skipped iterate too, and the last iterate's
+    residual is always computed. The gate is off otherwise and for nan t.
+
+    Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
+    differ and InconsistentMagnitudes on a negative magnitude.
     """
-    y = as_real_vector(y_mag)
-    z = as_real_vector(z_mag)
+    y, z, phases = _validated_start(y_mag, z_mag, initial_phases)
     n = len(y)
     if _kernels is None:
         forward = dft_matrix(n)
@@ -159,21 +195,32 @@ def error_reduction(
         forward, backward = _kernels
     sqrt_y = np.sqrt(y)
     sqrt_z = np.sqrt(z)
+    # |x_j| and |X_k| are at most sum(sqrt(y)), so below the bound no square
+    # overflows and a residual is never nan: an unchecked iterate continues
+    # the run exactly when a checked one would
+    gated = float(np.sum(sqrt_y)) < ER_GATE_DATA_BOUND and not math.isnan(residual_target)
+    gate_t = max(residual_target, ER_GATE_TARGET_FLOOR)
+    sqrt_gate_t = math.sqrt(gate_t)
+    slack = 2.0 * math.sqrt(n)
+    max_sqrt_z = float(np.max(sqrt_z))
 
-    x = sqrt_y * np.exp(1j * np.asarray(initial_phases, dtype=np.float64))
+    x = sqrt_y * np.exp(1j * phases)
     X = forward @ x
-    freq_errors = [float(np.linalg.norm(np.abs(X) - sqrt_z))]
-    residual = _magnitude_residual(x, X, y, z)
+    freq_errors = [_norm(np.abs(X) - sqrt_z)]
     iterations = 0
-    while residual > residual_target and iterations < max_iterations:
+    while iterations < max_iterations:
+        e = freq_errors[-1]
+        if not (gated and e > slack * (gate_t * (max_sqrt_z + e) + sqrt_gate_t)):
+            residual = _magnitude_residual(x, X, y, z)
+            if not residual > residual_target:
+                return x, residual, iterations, freq_errors
         X = _project_phases(X, sqrt_z)
         x = backward @ X
         x = _project_phases(x, sqrt_y)
         X = forward @ x
-        freq_errors.append(float(np.linalg.norm(np.abs(X) - sqrt_z)))
-        residual = _magnitude_residual(x, X, y, z)
+        freq_errors.append(_norm(np.abs(X) - sqrt_z))
         iterations += 1
-    return x, residual, iterations, freq_errors
+    return x, _magnitude_residual(x, X, y, z), iterations, freq_errors
 
 
 def newton_magnitude_solve(
@@ -195,53 +242,75 @@ def newton_magnitude_solve(
 
     Returns (candidate, residual, iterations) with residual in the shared
     max-relative metric.
+
+    The solve stops at the first iteration whose iterate has residual at
+    most t = residual_target, and the residual is evaluated only where that
+    can happen: for an iterate not judged before (the start, or one a step
+    has just reached) whose misfit r = |dft(x)|**2 - z_mag is small enough.
+    residual <= t < 1 forces |r_k| <= t / (1 - t) * max(z_k, 1), so an
+    iterate with ||r|| above twice the norm of that bound cannot stop the
+    solve, and one that a rejected step leaves in place was already judged.
+    Neither skip can change a result, and the last iterate's residual is
+    always computed.
+
+    Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
+    differ and InconsistentMagnitudes on a negative magnitude.
     """
-    y = as_real_vector(y_mag)
-    z = as_real_vector(z_mag)
+    y, z, phi = _validated_start(y_mag, z_mag, initial_phases)
     n = len(y)
     forward = dft_matrix(n) if _forward is None else _forward
     sqrt_y = np.sqrt(y)
+    t = residual_target
+    if t < 1:
+        gate = 2.0 * t / (1.0 - t) * _norm(np.maximum(z, 1.0))
+    else:  # also nan: every new iterate is checked
+        gate = math.inf
 
-    phi = np.asarray(initial_phases, dtype=np.float64).copy()
     damping = 1e-6
     x = sqrt_y * np.exp(1j * phi)
     X = forward @ x
     r = np.abs(X) ** 2 - z
-    cost = float(np.linalg.norm(r))
+    cost = _norm(r)
     eye = np.eye(n)
+    normal = None
+    unchecked = True
     iterations = 0
     stalls = 0
     for iterations in range(1, max_iterations + 1):
-        # d|X_k|^2 / d phi_j = 2*Re(conj(X_k) * i * F_kj * x_j)
-        jac = -2.0 * (np.conj(X)[:, None] * forward * x[None, :]).imag
-        lhs = jac.T @ jac + damping * eye
-        rhs = -(jac.T @ r)
+        if normal is None:
+            # d|X_k|^2 / d phi_j = 2*Re(conj(X_k) * i * F_kj * x_j)
+            jac = -2.0 * (np.conj(X)[:, None] * forward * x[None, :]).imag
+            normal = (jac.T @ jac, -(jac.T @ r))
+        jtj, rhs = normal
         try:
-            delta = np.linalg.solve(lhs, rhs)
+            delta = np.linalg.solve(jtj + damping * eye, rhs)
         except np.linalg.LinAlgError:
             break
-        step = 1.0
-        improved = False
-        for _ in range(6):
-            cand_phi = phi + step * delta
-            cand_x = sqrt_y * np.exp(1j * cand_phi)
+        # all trial phases and exponentials at once, elementwise as one trial
+        # alone; one matvec per trial, since a matmul would round differently
+        cand_phis = phi + LINE_SEARCH_STEPS[:, None] * delta
+        cand_xs = sqrt_y * np.exp(1j * cand_phis)
+        for cand_phi, cand_x in zip(cand_phis, cand_xs):
             cand_X = forward @ cand_x
             cand_r = np.abs(cand_X) ** 2 - z
-            cand_cost = float(np.linalg.norm(cand_r))
+            cand_cost = _norm(cand_r)
             if cand_cost < cost:
                 phi, x, X, r, cost = cand_phi, cand_x, cand_X, cand_r, cand_cost
                 damping = max(damping * 0.3, 1e-12)
-                improved = True
+                normal = None
+                unchecked = True
                 break
-            step *= 0.5
-        if not improved:
+        else:
             damping *= 10.0
             stalls += 1
             if damping > 1e8 or stalls > 8:
                 break
-        residual = _magnitude_residual(x, X, y, z)
-        if residual <= residual_target:
-            return x, residual, iterations
+        # an overflowed or nan misfit bounds nothing, so it is checked
+        if unchecked and not gate < cost < math.inf:
+            unchecked = False
+            residual = _magnitude_residual(x, X, y, z)
+            if residual <= residual_target:
+                return x, residual, iterations
     return x, _magnitude_residual(x, X, y, z), iterations
 
 

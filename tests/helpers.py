@@ -1,4 +1,4 @@
-"""Shared test helpers: generic sampling, zero padding and enumeration oracles."""
+"""Shared test helpers: sampling, zero padding, oracles and reference loops."""
 
 import numpy as np
 
@@ -9,7 +9,8 @@ from heisenberg_orbits import (
     is_generic,
     sample_random_signal,
 )
-from heisenberg_orbits.spectral import as_complex_vector
+from heisenberg_orbits.phase_retrieval import _magnitude_residual, _project_phases
+from heisenberg_orbits.spectral import as_complex_vector, dft_matrix
 
 
 def generic_signal(n, seed, floor=1e-8):
@@ -81,3 +82,95 @@ def exhaustive_orbit_distance(x, x2):
                 best_dist = float(dists[m])
                 best_g = GroupElement(order, k, n, m)
     return best_dist, best_g
+
+
+def reference_error_reduction(
+    y, z, initial_phases, max_iterations, residual_target, _kernels=None
+):
+    """Reference loop: error reduction with the residual checked every iteration.
+
+    `error_reduction` must return the same candidate bytes, residual,
+    iteration count and frequency errors.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    n = len(y)
+    if _kernels is None:
+        forward = dft_matrix(n)
+        backward = np.conj(forward) / n
+    else:
+        forward, backward = _kernels
+    sqrt_y = np.sqrt(y)
+    sqrt_z = np.sqrt(z)
+
+    x = sqrt_y * np.exp(1j * np.asarray(initial_phases, dtype=np.float64))
+    X = forward @ x
+    freq_errors = [float(np.linalg.norm(np.abs(X) - sqrt_z))]
+    residual = _magnitude_residual(x, X, y, z)
+    iterations = 0
+    while residual > residual_target and iterations < max_iterations:
+        X = _project_phases(X, sqrt_z)
+        x = backward @ X
+        x = _project_phases(x, sqrt_y)
+        X = forward @ x
+        freq_errors.append(float(np.linalg.norm(np.abs(X) - sqrt_z)))
+        residual = _magnitude_residual(x, X, y, z)
+        iterations += 1
+    return x, residual, iterations, freq_errors
+
+
+def reference_newton_magnitude_solve(
+    y, z, initial_phases, max_iterations=60, residual_target=1e-10, _forward=None
+):
+    """Reference loop: Gauss-Newton with the normal equations rebuilt and the
+    residual checked every iteration, one line-search trial at a time.
+
+    `newton_magnitude_solve` must return the same candidate bytes, residual
+    and iteration count.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    n = len(y)
+    forward = dft_matrix(n) if _forward is None else _forward
+    sqrt_y = np.sqrt(y)
+
+    phi = np.asarray(initial_phases, dtype=np.float64).copy()
+    damping = 1e-6
+    x = sqrt_y * np.exp(1j * phi)
+    X = forward @ x
+    r = np.abs(X) ** 2 - z
+    cost = float(np.linalg.norm(r))
+    eye = np.eye(n)
+    iterations = 0
+    stalls = 0
+    for iterations in range(1, max_iterations + 1):
+        jac = -2.0 * (np.conj(X)[:, None] * forward * x[None, :]).imag
+        lhs = jac.T @ jac + damping * eye
+        rhs = -(jac.T @ r)
+        try:
+            delta = np.linalg.solve(lhs, rhs)
+        except np.linalg.LinAlgError:
+            break
+        step = 1.0
+        improved = False
+        for _ in range(6):
+            cand_phi = phi + step * delta
+            cand_x = sqrt_y * np.exp(1j * cand_phi)
+            cand_X = forward @ cand_x
+            cand_r = np.abs(cand_X) ** 2 - z
+            cand_cost = float(np.linalg.norm(cand_r))
+            if cand_cost < cost:
+                phi, x, X, r, cost = cand_phi, cand_x, cand_X, cand_r, cand_cost
+                damping = max(damping * 0.3, 1e-12)
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            damping *= 10.0
+            stalls += 1
+            if damping > 1e8 or stalls > 8:
+                break
+        residual = _magnitude_residual(x, X, y, z)
+        if residual <= residual_target:
+            return x, residual, iterations
+    return x, _magnitude_residual(x, X, y, z), iterations

@@ -5,6 +5,7 @@ import pytest
 
 from heisenberg_orbits import (
     InconsistentMagnitudes,
+    OrderMismatch,
     PhaseRetrievalConfig,
     best_global_phase,
     error_reduction,
@@ -15,8 +16,14 @@ from heisenberg_orbits import (
     retrieve_phase,
     sample_random_signal,
 )
+from heisenberg_orbits.spectral import dft_matrix
 
-from helpers import generic_signal, zero_padded
+from helpers import (
+    generic_signal,
+    reference_error_reduction,
+    reference_newton_magnitude_solve,
+    zero_padded,
+)
 
 
 class TestMagnitudesMatch:
@@ -154,6 +161,119 @@ class TestNewtonMagnitudeSolve:
         assert iters < 20
         _, dist = best_global_phase(cand, x)
         assert dist <= 1e-6 * np.linalg.norm(x)
+
+
+def _newton(y, z, phases):
+    return newton_magnitude_solve(y, z, phases)
+
+
+def _projections(y, z, phases):
+    return error_reduction(y, z, phases, 10, 1e-10)
+
+
+@pytest.mark.parametrize("solve", [_newton, _projections], ids=["newton", "error_reduction"])
+class TestSolverInputValidation:
+    y = np.array([1.0, 2.0, 0.5])
+    z = np.array([4.0, 3.0, 3.5])
+
+    def test_single_phase_is_not_broadcast(self, solve):
+        with pytest.raises(OrderMismatch):
+            solve(self.y, self.z, np.zeros(1))
+
+    def test_phase_count_mismatch(self, solve):
+        with pytest.raises(OrderMismatch):
+            solve(self.y, self.z, np.zeros(4))
+
+    def test_magnitude_length_mismatch(self, solve):
+        with pytest.raises(OrderMismatch):
+            solve(self.y, self.z[:2], np.zeros(3))
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_negative_magnitude(self, solve, side):
+        data = [self.y.copy(), self.z.copy()]
+        data[side][1] = -0.5
+        with pytest.raises(InconsistentMagnitudes):
+            solve(*data, np.zeros(3))
+
+
+GRID_TARGETS = [0.0, 1e-14, 1e-10, 1e-2, 1.0, np.inf, np.nan]
+GRID_ITERATIONS = [0, 1, 2, 60]
+
+
+def _grid_signal(n):
+    # n > 16 stands for zero-padded data of length n
+    if n > 16:
+        return zero_padded(generic_signal((n + 1) // 2, 70 + n))
+    return generic_signal(n, 70 + n)
+
+
+def _assert_same(result, reference):
+    # candidate bytes, residual (nan equal to nan), iterations, freq_errors
+    assert result[0].tobytes() == reference[0].tobytes()
+    np.testing.assert_array_equal(result[1:3], reference[1:3])
+    assert result[3:] == reference[3:]
+
+
+class TestSolversMatchReferenceLoops:
+    # the residual gate, the reused normal equations and the batched trials
+    # skip work only: every return value must equal the plain loop's exactly
+    @pytest.mark.parametrize("n", list(range(1, 17)) + [17, 21, 25])
+    def test_grid(self, n):
+        x = _grid_signal(n)
+        n = len(x)
+        y, z = modulus_vector(x), fourier_modulus_vector(x)
+        forward = dft_matrix(n)
+        kernels = (forward, np.conj(forward) / n)
+        rng = np.random.default_rng(n)
+        starts = [
+            rng.uniform(0, 2 * np.pi, n),
+            np.angle(x),
+            np.angle(x) + 1e-3 * rng.standard_normal(n),
+        ]
+        case = 0
+        for phases in starts:
+            for target in GRID_TARGETS:
+                for cap in GRID_ITERATIONS:
+                    case += 1
+                    given = case % 2 == 0  # alternate the caller-supplied kernels
+                    args = (y, z, phases, cap, target)
+                    fwd = {"_forward": forward} if given else {}
+                    _assert_same(
+                        newton_magnitude_solve(*args, **fwd),
+                        reference_newton_magnitude_solve(*args, **fwd),
+                    )
+                    ker = {"_kernels": kernels} if given else {}
+                    _assert_same(
+                        error_reduction(*args, **ker),
+                        reference_error_reduction(*args, **ker),
+                    )
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_squares_are_still_checked(self):
+        # Newton: r = 4e154 overflows ||r||, yet residual 0.8 passes t = 0.9.
+        # Projections: |X_0|**2 overflows while e stays finite, so the
+        # residual is nan and ends the run at once.
+        cases = [
+            (newton_magnitude_solve, reference_newton_magnitude_solve,
+             ([5e154], [1e154], [0.0], 60, 0.9)),
+            (error_reduction, reference_error_reduction,
+             ([1e308, 1e308], [1.79e308, 0.0], [0.0, 0.0], 60, 1e-10)),
+        ]
+        for solve, reference, args in cases:
+            found = solve(*args)
+            _assert_same(found, reference(*args))
+            assert found[2] <= 1
+
+    def test_long_projection_run_on_padded_data(self):
+        # the c05 budget on data that determine the signal: residuals are
+        # skipped far from the solution set, and one run converges after 57
+        # iterations, so the gate must let its first passing iterate stop it
+        x = zero_padded(generic_signal(4, 90))
+        y, z = modulus_vector(x), fourier_modulus_vector(x)
+        rng = np.random.default_rng(9)
+        for _ in range(2):
+            args = (y, z, rng.uniform(0, 2 * np.pi, len(x)), 2000, 1e-10)
+            _assert_same(error_reduction(*args), reference_error_reduction(*args))
 
 
 class TestUniquenessSpotCheck:
