@@ -16,7 +16,6 @@ from .errors import (
     NonGenericInput,
     NotRealSignal,
     OrderMismatch,
-    PhaseUnresolvable,
     ZeroInput,
 )
 from .spectral import (
@@ -104,7 +103,6 @@ __all__ = [
     "OrbitRecoveryReport",
     "OrderMismatch",
     "PhaseRetrievalConfig",
-    "PhaseUnresolvable",
     "RecoveryReport",
     "StageResiduals",
     "ToleranceConfig",

@@ -65,9 +65,7 @@ def weighted_invariants(v) -> WeightedCyclicInvariants:
     v = as_complex_vector(v)
     n = len(v)
     a = np.empty(n, dtype=np.complex128)
-    if n >= 2:
-        a[0] = v[0] ** 2 * np.conj(v[1])
-    for k in range(2, n):
+    for k in range(1, n):
         a[k - 1] = v[0] * v[k - 1] * np.conj(v[k])
     a[n - 1] = v[n - 1] ** 3
     return WeightedCyclicInvariants(
@@ -92,11 +90,7 @@ def recover_weighted(
         raise NonGenericInput("first coordinate magnitude is numerically zero")
     v = np.zeros(n, dtype=np.complex128)
     v[0] = np.sqrt(inv.r)
-    if n >= 2:
-        v[1] = np.conj(inv.a[0] / v[0] ** 2)
-        if abs(v[1]) <= floor:
-            raise NonGenericInput("coordinate 2 is numerically zero")
-    for k in range(2, n):
+    for k in range(1, n):
         v[k] = np.conj(inv.a[k - 1] / (v[0] * v[k - 1]))
         if abs(v[k]) <= floor:
             raise NonGenericInput(f"coordinate {k + 1} is numerically zero")

@@ -25,10 +25,6 @@ class InconsistentMagnitudes(HeisenbergOrbitError):
     """Magnitude data cannot come from any signal (energy balance broken)."""
 
 
-class PhaseUnresolvable(HeisenbergOrbitError):
-    """The power-sum invariant cannot fix the global phase."""
-
-
 class InconsistentInvariants(HeisenbergOrbitError):
     """An invariant bundle is internally inconsistent."""
 

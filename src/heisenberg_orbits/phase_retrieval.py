@@ -57,6 +57,8 @@ class PhaseRetrievalConfig:
             raise ValueError("restart and iteration counts must be positive")
         if not self.residual_target > 0:
             raise ValueError("residual_target must be strictly positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -303,7 +305,7 @@ def newton_magnitude_solve(
         else:
             damping *= 10.0
             stalls += 1
-            if damping > 1e8 or stalls > 8:
+            if stalls > 8:
                 break
         # an overflowed or nan misfit bounds nothing, so it is checked
         if unchecked and not gate < cost < math.inf:

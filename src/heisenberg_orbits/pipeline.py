@@ -26,7 +26,11 @@ Stages:
    until its power sum matched the bundle. The principal root keeps the
    choice deterministic.
 4. The final verification values (recomputed bundle against the input) are
-   reported; success means the accepted candidate passed them.
+   reported; success means the accepted candidate passed them. Every search
+   ends in a report: one that accepts no start returns its lowest-residual
+   start with success=False, and its counts say whether starts converged
+   and which screen rejected them. Only stage 1 raises, since without its
+   magnitude vectors no search can run.
 """
 
 from __future__ import annotations
@@ -37,7 +41,6 @@ from typing import Any
 
 import numpy as np
 
-from .errors import PhaseUnresolvable
 from .group import GroupElement, orbit_distance, within_orbit_tolerance
 from .invariants import (
     HeisenbergInvariants,
@@ -114,11 +117,16 @@ def recover_orbit(
 
     Success is guaranteed only for bundles of generic vectors, and only with
     the probability that the multistart budget reaches the bundle-consistent
-    solution class. When no start converges at all, a best-effort report
-    with success=False is returned so batch experiments can record failure
-    rates. PhaseUnresolvable is raised when starts converged but none passed
-    the consistency screens within the budget, which is also how tampered
-    bundles (power sum with the wrong magnitude) surface.
+    solution class. A search that accepts no start returns a best-effort
+    report with success=False: the lowest-residual start as candidate, a nan
+    phase fix and ratio_modulus None. Its counts tell the failures apart:
+    converged_starts 0 means no start converged, and otherwise
+    power_rejected and verify_rejected say which screen rejected the
+    converged starts, which is how a budget too small for the orbit class
+    and a tampered bundle (power sum with the wrong magnitude) surface.
+    Only the bispectrum inversions and the energy-balance check raise
+    (NonGenericInput, NotRealSignal, InconsistentMagnitudes), before any
+    search runs.
     """
     pr_cfg = pr_cfg if pr_cfg is not None else PhaseRetrievalConfig()
     tol = tol if tol is not None else ToleranceConfig()
@@ -168,12 +176,6 @@ def recover_orbit(
         accepted, candidate, ratio_modulus = True, fixed, abs(ratio)
         break
     else:
-        if converged > 0:
-            raise PhaseUnresolvable(
-                f"{converged} magnitude solutions found in "
-                f"{pr_cfg.max_restarts} starts, none consistent with the invariant "
-                "bundle; the bundle is inconsistent or the budget too small"
-            )
         accepted, fix_residual, ratio_modulus = False, math.nan, None
         residual, candidate, iterations = best
         match = invariant_distance(heisenberg_invariants(candidate), inv)

@@ -176,7 +176,7 @@ def experiment_spec_from_json(obj) -> ExperimentSpec:
     n_values = _field(obj, "n_values", where)
     if not isinstance(n_values, list) or not n_values:
         raise InputFormatError(f"{where}: 'n_values' must be a nonempty list")
-    seed = _int(obj, "seed", where)
+    seed = _int(obj, "seed", where, minimum=0)
     sections = {}
     for section, readers in _SPEC_SECTIONS.items():
         values = obj.get(section, {})

@@ -45,7 +45,6 @@ PACKAGE_ERROR_EXITS = [
     (errors.NonGenericInput, 3),
     (errors.NotRealSignal, 3),
     (errors.InconsistentMagnitudes, 3),
-    (errors.PhaseUnresolvable, 3),
     (errors.InconsistentInvariants, 3),
 ]
 
@@ -132,12 +131,19 @@ class TestRecoverCommand:
         obj["iN"]["re"] *= 1.6
         obj["iN"]["im"] *= 1.6
         inv_path = tmp_path / "inv.json"
+        rec_path = tmp_path / "rec.json"
         dump_json(obj, inv_path)
         code = main(
-            ["recover", str(inv_path), str(tmp_path / "rec.json"),
-             "--seed", "1", "--max-restarts", "60"]
+            ["recover", str(inv_path), str(rec_path), "--seed", "1", "--max-restarts", "60"]
         )
-        assert code == 3
+        # the search ran and rejected every converged start, so its report is written
+        assert code == 4
+        report = load_json(rec_path)
+        assert_report_layout(report)
+        assert report["success"] is False
+        search = report["diagnostics"]["phase_retrieval"]
+        assert search["converged_starts"] > 0
+        assert search["power_rejected"] == search["converged_starts"]
 
     def test_complex_bispectrum_rejected(self, tmp_path):
         from heisenberg_orbits import dft, unitary_bispectrum
@@ -188,6 +194,15 @@ class TestRecoverCommand:
         dump_json(invariants_to_json(heisenberg_invariants(generic_signal(4, 11))), inv_path)
         assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == code
         assert capsys.readouterr().err == "error: stage failed\n"
+
+    def test_negative_seed_rejected(self, tmp_path, capsys):
+        # a negative seed fails before the inversions, not at the first start
+        inv_path = tmp_path / "inv.json"
+        rec_path = tmp_path / "rec.json"
+        dump_json(invariants_to_json(heisenberg_invariants(generic_signal(4, 11))), inv_path)
+        assert main(["recover", str(inv_path), str(rec_path), "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not rec_path.exists()
 
     def test_max_iterations_flag_rejected(self, tmp_path):
         # Newton starts have a fixed iteration cap, so recover takes no budget for it
@@ -310,7 +325,7 @@ class TestExperimentCommand:
 
     def test_failed_trial_row(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
-            raise errors.PhaseUnresolvable("no consistent start")
+            raise errors.NonGenericInput("no consistent start")
 
         monkeypatch.setattr("heisenberg_orbits.cli.recover_orbit", fail)
         spec_path = tmp_path / "spec.json"
@@ -343,10 +358,15 @@ class TestExperimentCommand:
             # spec values are read as typed JSON, never coerced
             {"n_values": [3], "trials": 2.7, "seed": 1, "pr_config": {"max_restarts": True}},
             {"n_values": [3.9], "trials": 1, "seed": "5", "tolerances": {"recovery_tol": "1e-3"}},
+            # negative seeds fail at decode, not at the first trial
+            {"n_values": [3], "trials": 1, "seed": -1},
+            {**base, "pr_config": {"seed": -5}},
         ):
             spec_path = tmp_path / "spec.json"
+            out_path = tmp_path / "o.csv"
             dump_json(spec, spec_path)
-            assert main(["experiment", str(spec_path), str(tmp_path / "o.csv")]) == 2
+            assert main(["experiment", str(spec_path), str(out_path)]) == 2
+            assert not out_path.exists()
 
 
 class TestDegreeAuditCommand:

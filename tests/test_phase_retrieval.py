@@ -126,6 +126,11 @@ class TestRetrievePhase:
         np.testing.assert_array_equal(a.candidate, b.candidate)
         assert a.restarts_used == b.restarts_used
 
+    def test_negative_seed_rejected(self):
+        # rejected at construction, not by numpy at the first restart
+        with pytest.raises(ValueError, match="seed"):
+            PhaseRetrievalConfig(seed=-1)
+
 
 class TestErrorReductionMonotonicity:
     @pytest.mark.parametrize("n,seed", [(4, 0), (6, 1), (8, 2)])

@@ -11,7 +11,6 @@ from heisenberg_orbits import (
     NonGenericInput,
     NotRealSignal,
     PhaseRetrievalConfig,
-    PhaseUnresolvable,
     ToleranceConfig,
     act,
     dft,
@@ -28,6 +27,17 @@ from heisenberg_orbits import (
 from helpers import generic_signal
 
 BIG_BUDGET = PhaseRetrievalConfig(seed=9, max_restarts=4000)
+
+
+def assert_all_converged_rejected(report, restarts):
+    """A search that converged some starts, rejected each and ran out of budget."""
+    search = report.diagnostics["phase_retrieval"]
+    assert not report.success
+    assert search["restarts_used"] == restarts
+    assert search["converged_starts"] > 0
+    assert search["power_rejected"] + search["verify_rejected"] == search["converged_starts"]
+    assert math.isnan(report.stage_residuals.phase_fix)
+    assert report.diagnostics["phase_fix"] == {"ratio_modulus": None}
 
 
 class TestRecoverOrbit:
@@ -58,8 +68,26 @@ class TestRecoverOrbit:
         tampered = HeisenbergInvariants(
             n=inv.n, bm=inv.bm, bfm=inv.bfm, power_sum=1.5 * inv.power_sum
         )
-        with pytest.raises(PhaseUnresolvable):
-            recover_orbit(tampered, PhaseRetrievalConfig(seed=1, max_restarts=60))
+        report = recover_orbit(tampered, PhaseRetrievalConfig(seed=1, max_restarts=60))
+        assert_all_converged_rejected(report, restarts=60)
+        search = report.diagnostics["phase_retrieval"]
+        assert search["power_rejected"] == search["converged_starts"]
+        assert search["verify_rejected"] == 0
+
+    def test_budget_too_small_for_the_orbit_class(self):
+        # the common failure: starts converge to other magnitude classes and
+        # the budget runs out before one lands in the orbit class
+        x = generic_signal(6, 304)
+        inv = heisenberg_invariants(x)
+        report = recover_orbit(inv, PhaseRetrievalConfig(seed=1, max_restarts=8))
+        assert_all_converged_rejected(report, restarts=8)
+        # the lowest-residual start is a magnitude fit, returned unphased
+        assert report.stage_residuals.phase_retrieval <= 1e-10
+        assert report.stage_residuals.invariant_match > 1e-6
+        larger = recover_orbit(inv, PhaseRetrievalConfig(seed=1, max_restarts=100))
+        assert larger.success
+        assert larger.diagnostics["phase_retrieval"]["restarts_used"] > 8
+        assert verify_against_truth(larger, x, 1e-6)[0]
 
     def test_phase_tampered_power_sum_recovers_rotated_orbit(self):
         # multiplying the power sum by a unit factor produces the valid
