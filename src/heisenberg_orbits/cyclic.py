@@ -21,7 +21,6 @@ from .inversion import invert_bispectrum
 from .invariants import unitary_bispectrum
 from .spectral import (
     DEFAULT_GENERICITY_FLOOR,
-    DEFAULT_REL_EQ,
     as_complex_vector,
     dft,
     principal_nth_root,
@@ -73,9 +72,7 @@ def weighted_invariants(v) -> WeightedCyclicInvariants:
     )
 
 
-def recover_weighted(
-    inv: WeightedCyclicInvariants, floor: float = DEFAULT_GENERICITY_FLOOR
-) -> np.ndarray:
+def recover_weighted(inv: WeightedCyclicInvariants) -> np.ndarray:
     """Solve the chain forward and return an orbit representative.
 
     The first coordinate is taken real positive, each next one follows
@@ -83,36 +80,35 @@ def recover_weighted(
     cube of the last coordinate: the ratio a[n-1] / v_n**3 has unit modulus
     for consistent data, and the principal (3n)-th root theta of its phase
     rephases the solution as (theta * v1, theta**2 * v2, ...), landing in
-    the group orbit.
+    the group orbit. A first coordinate or a solved coordinate of modulus
+    at or below DEFAULT_GENERICITY_FLOOR raises NonGenericInput.
     """
     n = inv.n
-    if inv.r <= floor:
+    if inv.r <= DEFAULT_GENERICITY_FLOOR:
         raise NonGenericInput("first coordinate magnitude is numerically zero")
     v = np.zeros(n, dtype=np.complex128)
     v[0] = np.sqrt(inv.r)
     for k in range(1, n):
         v[k] = np.conj(inv.a[k - 1] / (v[0] * v[k - 1]))
-        if abs(v[k]) <= floor:
+        if abs(v[k]) <= DEFAULT_GENERICITY_FLOOR:
             raise NonGenericInput(f"coordinate {k + 1} is numerically zero")
     mu = inv.a[n - 1] / v[n - 1] ** 3
     if abs(abs(mu) - 1.0) > CONSISTENCY_TOL:
         raise InconsistentInvariants(
             f"cube value inconsistent with the chain: |mu| = {abs(mu):.8f}"
         )
-    theta = principal_nth_root(mu / abs(mu), 3 * n, floor=floor)
+    theta = principal_nth_root(mu / abs(mu), 3 * n)
     weights = np.arange(1, n + 1)
     return v * theta ** weights
 
 
-def recover_weight12(
-    r1: float, r2: float, a, floor: float = DEFAULT_GENERICITY_FLOOR
-) -> np.ndarray:
+def recover_weight12(r1: float, r2: float, a) -> np.ndarray:
     """Recover (x1, x2) from |x1|**2, |x2|**2 and x1**2 * conj(x2).
 
     This is the circle action with weights 1 and 2; the output is one
     representative, every other solution being (e^{i t} x1, e^{2 i t} x2).
     """
-    if r1 <= floor or r2 <= floor:
+    if r1 <= DEFAULT_GENERICITY_FLOOR or r2 <= DEFAULT_GENERICITY_FLOOR:
         raise NonGenericInput("both coordinates must be nonvanishing")
     a = complex(a)
     expected = r1 * r1 * r2
@@ -125,22 +121,16 @@ def recover_weight12(
     return np.array([x1, x2], dtype=np.complex128)
 
 
-def recover_cyclic_orbit(
-    x,
-    floor: float = DEFAULT_GENERICITY_FLOOR,
-    rel_eq: float = DEFAULT_REL_EQ,
-) -> np.ndarray:
+def recover_cyclic_orbit(x) -> np.ndarray:
     """Round-trip x through the bispectrum of its spectrum.
 
     Demonstrates that the cubic expressions V[i] V[j] conj(V[i+j]) of the
     spectrum V separate translation orbits: the output is some cyclic shift
     of x whenever every Fourier coefficient of x is nonvanishing. The
-    inversion raises NonGenericInput when one is at or below the floor.
+    inversion raises NonGenericInput when one is at or below
+    DEFAULT_GENERICITY_FLOOR.
     """
-    result = invert_bispectrum(
-        unitary_bispectrum(dft(x)), floor=floor, rel_eq=rel_eq
-    )
-    return result.signal
+    return invert_bispectrum(unitary_bispectrum(dft(x))).signal
 
 
 def degree_audit(order: int, degree: int) -> int:

@@ -30,6 +30,8 @@ class HeisenbergInvariants:
     bm: bispectrum of the squared-modulus vector (N x N complex).
     bfm: bispectrum of the squared-Fourier-modulus vector (N x N complex).
     power_sum: the degree-N power sum of the signal entries.
+
+    Construction raises ValueError on a wrong shape or a non-finite entry.
     """
 
     n: int
@@ -40,6 +42,9 @@ class HeisenbergInvariants:
     def __post_init__(self):
         if self.bm.shape != (self.n, self.n) or self.bfm.shape != (self.n, self.n):
             raise ValueError("bispectrum matrices must be n x n")
+        # a nan would pass every screen's `distance > tol` test unnoticed
+        if not all(np.isfinite(v).all() for v in (self.bm, self.bfm, self.power_sum)):
+            raise ValueError("bundle entries must be finite")
 
 
 @dataclass(frozen=True)

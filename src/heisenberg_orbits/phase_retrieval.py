@@ -1,13 +1,15 @@
 """Recover a vector from its entry magnitudes and Fourier magnitudes.
 
-Both magnitude inputs carry squared moduli. Two local solvers are provided:
-classical error reduction (alternating projections between the two magnitude
-constraint sets) behind retrieve_phase, and a damped Gauss-Newton solve on
-the phase torus whose multistart basins are far better balanced across the
-several exact solution classes this data admits. A magnitude fit determines
-the vector only up to a global unimodular factor within its class; callers
-quotient that out with best_global_phase or fix it with a phase-sensitive
-invariant, and must screen classes themselves when the class matters.
+Both magnitude inputs carry squared moduli. Two local solvers share one
+contract, (y_mag, z_mag, initial_phases, max_iterations, residual_target) ->
+(candidate, residual, iterations): classical error reduction (alternating
+projections between the two magnitude constraint sets) behind retrieve_phase,
+and a damped Gauss-Newton solve on the phase torus whose multistart basins
+are far better balanced across the several exact solution classes this data
+admits. A magnitude fit determines the vector only up to a global unimodular
+factor within its class; callers quotient that out with best_global_phase or
+fix it with a phase-sensitive invariant, and must screen classes themselves
+when the class matters.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ ER_GATE_DATA_BOUND = 1e150
 class PhaseRetrievalConfig:
     """Search budget and seeding for the restarted magnitude searches.
 
-    max_iterations bounds each error_reduction run inside retrieve_phase;
-    recover_orbit reads max_restarts, residual_target and seed, and caps
-    each of its Gauss-Newton starts at newton_magnitude_solve's default.
+    retrieve_phase reads every field: each restart runs error_reduction for
+    at most max_iterations projections. recover_orbit reads max_restarts,
+    residual_target and seed, and caps each of its Gauss-Newton starts at
+    newton_magnitude_solve's default.
     """
 
     max_restarts: int = 50
@@ -68,7 +71,6 @@ class RecoveryReport:
     candidate: np.ndarray
     residual: float
     restarts_used: int
-    iterations_last: int
     success: bool
 
     def __post_init__(self):
@@ -164,37 +166,34 @@ def error_reduction(
     initial_phases,
     max_iterations: int,
     residual_target: float,
-    _kernels=None,
 ):
     """One projection run from given starting phases.
 
-    Returns (candidate, residual, iterations, freq_errors) where freq_errors
-    is the Euclidean frequency-domain mismatch || |dft(x)| - sqrt(z_mag) ||
-    recorded at the start and after every iteration. That sequence is
+    Returns (candidate, residual, iterations) with residual in the shared
+    max-relative metric, as newton_magnitude_solve does. The frequency-domain
+    mismatch e = || |dft(x)| - sqrt(z_mag) || of successive iterates is
     non-increasing: each step projects onto the nearest point of one
     constraint set, so the distance to the other set cannot grow.
 
     The run stops at the first iterate whose residual is at most
     t = residual_target, and the residual is evaluated only where that can
     happen. residual <= t forces every | |X_k| - sqrt(z_k) | below
-    max(t * (max sqrt(z) + e), sqrt(t)), e the frequency error, so an iterate
-    whose e exceeds 2 * sqrt(N) times the sum of those two terms (t raised
-    to at least 2**-40, which covers rounding) cannot stop the run and its
-    residual is skipped. Skipping cannot change a result: with
-    sum(sqrt(y_mag)) below 1e150 no residual is nan, so the full check would
-    have continued from every skipped iterate too, and the last iterate's
-    residual is always computed. The gate is off otherwise and for nan t.
+    max(t * (max sqrt(z) + e), sqrt(t)), so an iterate whose e exceeds
+    2 * sqrt(N) times the sum of those two terms (t raised to at least
+    2**-40, which covers rounding) cannot stop the run and its residual is
+    skipped. Skipping cannot change a result: with sum(sqrt(y_mag)) below
+    1e150 no residual is nan, so the full check would have continued from
+    every skipped iterate too, and the last iterate's residual is always
+    computed. The gate is off otherwise and for nan t. On all-zero data the
+    start already fits, so the run returns it at iteration 0 with residual 0.
 
     Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
     differ and InconsistentMagnitudes on a negative magnitude.
     """
     y, z, phases = _validated_start(y_mag, z_mag, initial_phases)
     n = len(y)
-    if _kernels is None:
-        forward = dft_matrix(n)
-        backward = np.conj(forward) / n
-    else:
-        forward, backward = _kernels
+    forward = dft_matrix(n)
+    backward = np.conj(forward) / n
     sqrt_y = np.sqrt(y)
     sqrt_z = np.sqrt(z)
     # |x_j| and |X_k| are at most sum(sqrt(y)), so below the bound no square
@@ -208,21 +207,20 @@ def error_reduction(
 
     x = sqrt_y * np.exp(1j * phases)
     X = forward @ x
-    freq_errors = [_norm(np.abs(X) - sqrt_z)]
+    e = _norm(np.abs(X) - sqrt_z)
     iterations = 0
     while iterations < max_iterations:
-        e = freq_errors[-1]
         if not (gated and e > slack * (gate_t * (max_sqrt_z + e) + sqrt_gate_t)):
             residual = _magnitude_residual(x, X, y, z)
             if not residual > residual_target:
-                return x, residual, iterations, freq_errors
+                return x, residual, iterations
         X = _project_phases(X, sqrt_z)
         x = backward @ X
         x = _project_phases(x, sqrt_y)
         X = forward @ x
-        freq_errors.append(_norm(np.abs(X) - sqrt_z))
+        e = _norm(np.abs(X) - sqrt_z)
         iterations += 1
-    return x, _magnitude_residual(x, X, y, z), iterations, freq_errors
+    return x, _magnitude_residual(x, X, y, z), iterations
 
 
 def newton_magnitude_solve(
@@ -332,22 +330,16 @@ def retrieve_phase(y_mag, z_mag, cfg: PhaseRetrievalConfig | None = None) -> Rec
     """
     cfg = cfg if cfg is not None else PhaseRetrievalConfig()
     y, z = check_energy_balance(y_mag, z_mag)
-    n = len(y)
-    if max(float(np.sum(y)), float(np.sum(z))) == 0:
-        return RecoveryReport(np.zeros(n, dtype=np.complex128), 0.0, 1, 0, True)
-
-    forward = dft_matrix(n)
-    kernels = (forward, np.conj(forward) / n)
     best = None
     for restart in range(cfg.max_restarts):
         rng = np.random.default_rng(cfg.seed + restart)
-        phases = rng.uniform(0.0, 2.0 * np.pi, n)
-        candidate, residual, iterations, _ = error_reduction(
-            y, z, phases, cfg.max_iterations, cfg.residual_target, _kernels=kernels
+        phases = rng.uniform(0.0, 2.0 * np.pi, len(y))
+        candidate, residual, _ = error_reduction(
+            y, z, phases, cfg.max_iterations, cfg.residual_target
         )
         if residual <= cfg.residual_target:
-            return RecoveryReport(candidate, residual, restart + 1, iterations, True)
+            return RecoveryReport(candidate, residual, restart + 1, True)
         if best is None or residual < best[0]:
-            best = (residual, candidate, iterations)
-    residual, candidate, iterations = best
-    return RecoveryReport(candidate, residual, cfg.max_restarts, iterations, False)
+            best = (residual, candidate)
+    residual, candidate = best
+    return RecoveryReport(candidate, residual, cfg.max_restarts, False)

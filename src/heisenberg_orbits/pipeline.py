@@ -101,10 +101,12 @@ def recover_orbit(
     The magnitude search is a seeded multistart: start r draws its phases
     from seed pr_cfg.seed + r and runs newton_magnitude_solve under its
     default iteration cap. A converged start must pass two screens to be
-    accepted: its power-sum magnitude matches the bundle within the
-    consistency band, and after the global-phase fix the fully recomputed
-    bundle matches within the recovery tolerance. The first accepted start
-    wins.
+    accepted: its power sum is above tol.genericity_floor in modulus and
+    matches the bundle's within the consistency band, and after the
+    global-phase fix the fully recomputed bundle matches within the recovery
+    tolerance. The first accepted start wins. The phase fix takes the
+    principal N-th root of the unit-modulus ratio mu / |mu|, so it cannot
+    raise whatever the tolerances are.
 
     The report keeps each number once. stage_residuals holds one residual
     per stage (nan for a phase fix that never ran) and success says whether
@@ -164,7 +166,7 @@ def recover_orbit(
         if abs(abs(ratio) - 1.0) > PHASE_RATIO_BAND:
             power_rejected += 1
             continue
-        lam = principal_nth_root(ratio / abs(ratio), n, floor=tol.genericity_floor)
+        lam = principal_nth_root(ratio / abs(ratio), n)
         fixed = lam * candidate
         fix_residual = abs(power_invariant(fixed) - inv.power_sum) / max(
             abs(inv.power_sum), 1.0

@@ -97,16 +97,17 @@ def cyclic_shift(v, k: int) -> np.ndarray:
     return np.roll(arr, -int(k))
 
 
-def principal_nth_root(c, n: int, floor: float = DEFAULT_GENERICITY_FLOOR) -> complex:
+def principal_nth_root(c, n: int) -> complex:
     """Return r with r**n = c and arg(r) in [0, 2*pi/n).
 
-    Raises ZeroInput when |c| is at or below the genericity floor, since the
-    root of a numerically-zero value carries no phase information.
+    Raises ZeroInput when |c| is at or below DEFAULT_GENERICITY_FLOOR, since
+    the root of a numerically-zero value carries no phase information. The
+    phase fixes take roots of unit-modulus ratios, which never raise.
     """
     c = complex(c)
     if not n >= 1:
         raise ValueError("root order must be a positive integer")
-    if abs(c) <= floor:
+    if abs(c) <= DEFAULT_GENERICITY_FLOOR:
         raise ZeroInput(f"cannot take a principal root of near-zero value {c!r}")
     theta = np.angle(c) % (2.0 * np.pi)
     return complex(abs(c) ** (1.0 / n) * np.exp(1j * theta / n))

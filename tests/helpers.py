@@ -84,28 +84,22 @@ def exhaustive_orbit_distance(x, x2):
     return best_dist, best_g
 
 
-def reference_error_reduction(
-    y, z, initial_phases, max_iterations, residual_target, _kernels=None
-):
+def reference_error_reduction(y, z, initial_phases, max_iterations, residual_target):
     """Reference loop: error reduction with the residual checked every iteration.
 
-    `error_reduction` must return the same candidate bytes, residual,
-    iteration count and frequency errors.
+    `error_reduction` must return the same candidate bytes, residual and
+    iteration count.
     """
     y = np.asarray(y, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     n = len(y)
-    if _kernels is None:
-        forward = dft_matrix(n)
-        backward = np.conj(forward) / n
-    else:
-        forward, backward = _kernels
+    forward = dft_matrix(n)
+    backward = np.conj(forward) / n
     sqrt_y = np.sqrt(y)
     sqrt_z = np.sqrt(z)
 
     x = sqrt_y * np.exp(1j * np.asarray(initial_phases, dtype=np.float64))
     X = forward @ x
-    freq_errors = [float(np.linalg.norm(np.abs(X) - sqrt_z))]
     residual = _magnitude_residual(x, X, y, z)
     iterations = 0
     while residual > residual_target and iterations < max_iterations:
@@ -113,10 +107,9 @@ def reference_error_reduction(
         x = backward @ X
         x = _project_phases(x, sqrt_y)
         X = forward @ x
-        freq_errors.append(float(np.linalg.norm(np.abs(X) - sqrt_z)))
         residual = _magnitude_residual(x, X, y, z)
         iterations += 1
-    return x, residual, iterations, freq_errors
+    return x, residual, iterations
 
 
 def reference_newton_magnitude_solve(

@@ -93,6 +93,15 @@ class TestInvariantsCommand:
         assert main(["invariants", str(src), str(out), "--require-generic"]) == 3
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_bundle_rejected(self, tmp_path):
+        # finite entries whose bispectra overflow: no bundle with nan is written
+        src = tmp_path / "x.json"
+        out = tmp_path / "inv.json"
+        write_vector(src, np.array([1e100, 1.0, 2.0], dtype=complex))
+        assert main(["invariants", str(src), str(out)]) == 2
+        assert not out.exists()
+
     def test_non_generic_without_flag_still_writes(self, tmp_path):
         src = tmp_path / "x.json"
         out = tmp_path / "inv.json"

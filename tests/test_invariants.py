@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from heisenberg_orbits import (
+    HeisenbergInvariants,
     OrderMismatch,
     act,
     bispectra_distance,
@@ -159,6 +160,19 @@ class TestBundle:
         inv = heisenberg_invariants(x)
         rotated = heisenberg_invariants(np.exp(1j * np.pi / 10) * x)
         assert abs(rotated.power_sum - inv.power_sum) > 1e-3 * abs(inv.power_sum)
+
+    @pytest.mark.parametrize("field", ["bm", "bfm", "power_sum"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, field, bad):
+        # a nan would slip past every `distance > tol` screen of a recovery
+        inv = heisenberg_invariants(generic_signal(5, 205))
+        values = {"bm": inv.bm.copy(), "bfm": inv.bfm.copy(), "power_sum": inv.power_sum}
+        if field == "power_sum":
+            values[field] = complex(bad)
+        else:
+            values[field][2, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            HeisenbergInvariants(n=5, **values)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_degree_homogeneity(self, n):

@@ -121,6 +121,18 @@ class TestRecoverOrbit:
         assert report.success
         assert verify_against_truth(report, x, 1e-6)[0]
 
+    def test_phase_fix_ignores_the_genericity_floor(self):
+        # the root is taken of a unit-modulus ratio, so a floor of 1.0 cannot
+        # make it raise ZeroInput mid-search
+        x = 30 * generic_signal(5, 205)
+        report = recover_orbit(
+            heisenberg_invariants(x),
+            PhaseRetrievalConfig(seed=4, max_restarts=4000),
+            ToleranceConfig(genericity_floor=1.0),
+        )
+        assert report.success
+        assert verify_against_truth(report, x, 1e-6)[0]
+
     def test_no_convergence_returns_best_effort_report(self):
         x = generic_signal(6, 802)
         inv = heisenberg_invariants(x)
