@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification negative, 2 input or format error,
-3 any other package error (non-generic or degenerate input, rejected before
-any search), 4 a recovery search that accepted no start, whose report is
-still written. All randomness flows from explicit seeds; outputs are
+3 any other package error (non-generic, degenerate or inconsistent input,
+such as a bundle that no recovery start could pass, rejected before any
+search), 4 a recovery search that accepted no start, whose report is still
+written. All randomness flows from explicit seeds; outputs are
 byte-identical across repeated runs unless --timing is requested.
 """
 

@@ -33,12 +33,6 @@ ENERGY_BALANCE_TOL = 1e-6
 # Gauss-Newton line search: step lengths 1, 1/2, ..., 1/32, tried in order
 LINE_SEARCH_STEPS = 0.5 ** np.arange(6.0)
 
-# error_reduction's residual gate counts a smaller target as the floor, which
-# keeps its margin far above rounding, and is off once sum(sqrt(y)) reaches
-# the bound
-ER_GATE_TARGET_FLOOR = 2.0**-40
-ER_GATE_DATA_BOUND = 1e150
-
 
 @dataclass(frozen=True)
 class PhaseRetrievalConfig:
@@ -160,6 +154,21 @@ def _norm(v) -> float:
     return math.sqrt(v.dot(v))
 
 
+def _residual_gate(z, t) -> float:
+    # Both solvers skip the residual of an iterate with gate < ||r|| < inf,
+    # r = |dft(x)|**2 - z, and no result changes, since its residual exceeds
+    # t and is not nan. residual <= t < 1 bounds every |r_k| by
+    # t / (1 - t) * max(z_k, 1), so past twice the norm of that bound (the
+    # factor covers rounding) the frequency side alone exceeds t. The time
+    # side cannot be nan: an overflowing |x_j|**2 forces some |X_k|**2
+    # (Parseval), and so ||r||, to overflow, and a z that large makes the
+    # gate inf; a nan in x makes ||r|| nan. For t >= 1 or nan every iterate
+    # is checked.
+    if t < 1:
+        return 2.0 * t / (1.0 - t) * _norm(np.maximum(z, 1.0))
+    return math.inf
+
+
 def error_reduction(
     y_mag,
     z_mag,
@@ -171,21 +180,14 @@ def error_reduction(
 
     Returns (candidate, residual, iterations) with residual in the shared
     max-relative metric, as newton_magnitude_solve does. The frequency-domain
-    mismatch e = || |dft(x)| - sqrt(z_mag) || of successive iterates is
+    mismatch || |dft(x)| - sqrt(z_mag) || of successive iterates is
     non-increasing: each step projects onto the nearest point of one
     constraint set, so the distance to the other set cannot grow.
 
-    The run stops at the first iterate whose residual is at most
-    t = residual_target, and the residual is evaluated only where that can
-    happen. residual <= t forces every | |X_k| - sqrt(z_k) | below
-    max(t * (max sqrt(z) + e), sqrt(t)), so an iterate whose e exceeds
-    2 * sqrt(N) times the sum of those two terms (t raised to at least
-    2**-40, which covers rounding) cannot stop the run and its residual is
-    skipped. Skipping cannot change a result: with sum(sqrt(y_mag)) below
-    1e150 no residual is nan, so the full check would have continued from
-    every skipped iterate too, and the last iterate's residual is always
-    computed. The gate is off otherwise and for nan t. On all-zero data the
-    start already fits, so the run returns it at iteration 0 with residual 0.
+    The run stops at the first iterate whose residual is not above
+    residual_target, and evaluates the residual only where _residual_gate
+    allows that. On all-zero data the start already fits, so the run returns
+    it at iteration 0 with residual 0.
 
     Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
     differ and InconsistentMagnitudes on a negative magnitude.
@@ -196,21 +198,13 @@ def error_reduction(
     backward = np.conj(forward) / n
     sqrt_y = np.sqrt(y)
     sqrt_z = np.sqrt(z)
-    # |x_j| and |X_k| are at most sum(sqrt(y)), so below the bound no square
-    # overflows and a residual is never nan: an unchecked iterate continues
-    # the run exactly when a checked one would
-    gated = float(np.sum(sqrt_y)) < ER_GATE_DATA_BOUND and not math.isnan(residual_target)
-    gate_t = max(residual_target, ER_GATE_TARGET_FLOOR)
-    sqrt_gate_t = math.sqrt(gate_t)
-    slack = 2.0 * math.sqrt(n)
-    max_sqrt_z = float(np.max(sqrt_z))
+    gate = _residual_gate(z, residual_target)
 
     x = sqrt_y * np.exp(1j * phases)
     X = forward @ x
-    e = _norm(np.abs(X) - sqrt_z)
     iterations = 0
     while iterations < max_iterations:
-        if not (gated and e > slack * (gate_t * (max_sqrt_z + e) + sqrt_gate_t)):
+        if not gate < _norm(np.abs(X) ** 2 - z) < math.inf:
             residual = _magnitude_residual(x, X, y, z)
             if not residual > residual_target:
                 return x, residual, iterations
@@ -218,7 +212,6 @@ def error_reduction(
         x = backward @ X
         x = _project_phases(x, sqrt_y)
         X = forward @ x
-        e = _norm(np.abs(X) - sqrt_z)
         iterations += 1
     return x, _magnitude_residual(x, X, y, z), iterations
 
@@ -244,14 +237,9 @@ def newton_magnitude_solve(
     max-relative metric.
 
     The solve stops at the first iteration whose iterate has residual at
-    most t = residual_target, and the residual is evaluated only where that
-    can happen: for an iterate not judged before (the start, or one a step
-    has just reached) whose misfit r = |dft(x)|**2 - z_mag is small enough.
-    residual <= t < 1 forces |r_k| <= t / (1 - t) * max(z_k, 1), so an
-    iterate with ||r|| above twice the norm of that bound cannot stop the
-    solve, and one that a rejected step leaves in place was already judged.
-    Neither skip can change a result, and the last iterate's residual is
-    always computed.
+    most residual_target, and evaluates the residual only for an iterate not
+    judged before (the start, or one a step has just reached) where
+    _residual_gate allows that.
 
     Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
     differ and InconsistentMagnitudes on a negative magnitude.
@@ -260,11 +248,7 @@ def newton_magnitude_solve(
     n = len(y)
     forward = dft_matrix(n) if _forward is None else _forward
     sqrt_y = np.sqrt(y)
-    t = residual_target
-    if t < 1:
-        gate = 2.0 * t / (1.0 - t) * _norm(np.maximum(z, 1.0))
-    else:  # also nan: every new iterate is checked
-        gate = math.inf
+    gate = _residual_gate(z, residual_target)
 
     damping = 1e-6
     x = sqrt_y * np.exp(1j * phi)
@@ -305,7 +289,6 @@ def newton_magnitude_solve(
             stalls += 1
             if stalls > 8:
                 break
-        # an overflowed or nan misfit bounds nothing, so it is checked
         if unchecked and not gate < cost < math.inf:
             unchecked = False
             residual = _magnitude_residual(x, X, y, z)

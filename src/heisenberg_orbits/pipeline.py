@@ -29,8 +29,10 @@ Stages:
    reported; success means the accepted candidate passed them. Every search
    ends in a report: one that accepts no start returns its lowest-residual
    start with success=False, and its counts say whether starts converged
-   and which screen rejected them. Only stage 1 raises, since without its
-   magnitude vectors no search can run.
+   and which screen rejected them. Only stage 1 raises: without its
+   magnitude vectors no search can run, and it also rejects a bundle that
+   no start could pass, one whose bispectra disagree with their own
+   inversions beyond the recovery tolerance or whose power sum vanishes.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Any
 
 import numpy as np
 
+from .errors import InconsistentInvariants, NonGenericInput
 from .group import GroupElement, orbit_distance, within_orbit_tolerance
 from .invariants import (
     HeisenbergInvariants,
@@ -126,9 +129,12 @@ def recover_orbit(
     power_rejected and verify_rejected say which screen rejected the
     converged starts, which is how a budget too small for the orbit class
     and a tampered bundle (power sum with the wrong magnitude) surface.
-    Only the bispectrum inversions and the energy-balance check raise
-    (NonGenericInput, NotRealSignal, InconsistentMagnitudes), before any
-    search runs.
+    Only stage 1 raises, before the first start: the bispectrum inversions
+    (NonGenericInput, NotRealSignal), the energy-balance check
+    (InconsistentMagnitudes), InconsistentInvariants when res_bm or res_bfm
+    exceeds tol.recovery_tol, since every start's bispectra then miss the
+    bundle's in the final match, and NonGenericInput when |power_sum| is at
+    or below tol.genericity_floor, since no phase fix then exists.
     """
     pr_cfg = pr_cfg if pr_cfg is not None else PhaseRetrievalConfig()
     tol = tol if tol is not None else ToleranceConfig()
@@ -139,6 +145,16 @@ def recover_orbit(
     res_bfm = max_relative_deviation(inv.bfm, unitary_bispectrum(dft(z)))
 
     y, z = check_energy_balance(y, z)
+    if max(res_bm, res_bfm) > tol.recovery_tol:
+        raise InconsistentInvariants(
+            f"bispectra differ from those of their inversions by "
+            f"{max(res_bm, res_bfm):.3e}, above the recovery tolerance {tol.recovery_tol:.3e}"
+        )
+    if abs(inv.power_sum) <= tol.genericity_floor:
+        raise NonGenericInput(
+            f"power sum {abs(inv.power_sum):.3e} in modulus is at or below the "
+            f"genericity floor {tol.genericity_floor:.3e}"
+        )
     n = len(y)
     forward = dft_matrix(n)
     best: tuple[float, np.ndarray, int] | None = None

@@ -110,6 +110,8 @@ def principal_nth_root(c, n: int) -> complex:
     if abs(c) <= DEFAULT_GENERICITY_FLOOR:
         raise ZeroInput(f"cannot take a principal root of near-zero value {c!r}")
     theta = np.angle(c) % (2.0 * np.pi)
+    if theta == 2.0 * np.pi:  # an angle in (-4.4e-16, 0) rounds up to 2*pi
+        theta = 0.0
     return complex(abs(c) ** (1.0 / n) * np.exp(1j * theta / n))
 
 

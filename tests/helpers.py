@@ -4,7 +4,9 @@ import numpy as np
 
 from heisenberg_orbits import (
     GroupElement,
+    HeisenbergInvariants,
     OrderMismatch,
+    heisenberg_invariants,
     identity,
     is_generic,
     sample_random_signal,
@@ -30,6 +32,19 @@ def generic_real_signal(n, seed, floor=1e-8):
         if np.min(np.abs(np.fft.fft(y))) > floor:
             return y
     raise AssertionError(f"no generic real sample near seed {seed} for n={n}")
+
+
+def inconsistent_bm_bundle():
+    """Bundle of generic_signal(6, 11) with bm[2, 3] and bm[3, 2] scaled by 1.1.
+
+    Its bm differs from the bispectrum of its own inversion by 0.091, so no
+    magnitude fit can match the bundle within the recovery tolerance.
+    """
+    inv = heisenberg_invariants(generic_signal(6, 11))
+    bm = inv.bm.copy()
+    bm[2, 3] *= 1.1
+    bm[3, 2] *= 1.1
+    return HeisenbergInvariants(n=inv.n, bm=bm, bfm=inv.bfm, power_sum=inv.power_sum)
 
 
 def zero_padded(x):

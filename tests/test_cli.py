@@ -25,7 +25,7 @@ from heisenberg_orbits.serialization import (
     load_json,
 )
 
-from helpers import generic_signal, min_shift_distance
+from helpers import generic_signal, inconsistent_bm_bundle, min_shift_distance
 
 
 def write_vector(path, x):
@@ -203,6 +203,24 @@ class TestRecoverCommand:
         dump_json(invariants_to_json(heisenberg_invariants(generic_signal(4, 11))), inv_path)
         assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == code
         assert capsys.readouterr().err == "error: stage failed\n"
+
+    @pytest.mark.parametrize(
+        "bundle, args",
+        [
+            (inconsistent_bm_bundle, ["--seed", "3", "--max-restarts", "2000"]),
+            (lambda: heisenberg_invariants(0.05 * generic_signal(6, 5024)),
+             ["--seed", "24", "--max-restarts", "4000"]),
+        ],
+        ids=["inconsistent-bm", "vanishing-power-sum"],
+    )
+    def test_bundle_no_start_can_pass(self, tmp_path, capsys, bundle, args):
+        # rejected before the first start, so no report is written
+        inv_path = tmp_path / "inv.json"
+        rec_path = tmp_path / "rec.json"
+        dump_json(invariants_to_json(bundle()), inv_path)
+        assert main(["recover", str(inv_path), str(rec_path), *args]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not rec_path.exists()
 
     def test_negative_seed_rejected(self, tmp_path, capsys):
         # a negative seed fails before the inversions, not at the first start

@@ -261,12 +261,14 @@ class TestSolversMatchReferenceLoops:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_squares_are_still_checked(self):
-        # Newton: r = 4e154 overflows ||r||, yet residual 0.8 passes t = 0.9.
-        # Projections: |X_0|**2 overflows while e stays finite, so the
-        # residual is nan and ends the run at once.
+        # r = 4e154 overflows ||r|| past a finite gate, yet residual 0.8
+        # passes t = 0.9, for both solvers. In the last case |X_0|**2
+        # overflows, so ||r|| is inf and the start is checked, which ends
+        # the run at once.
+        overflow = ([5e154], [1e154], [0.0], 60, 0.9)
         cases = [
-            (newton_magnitude_solve, reference_newton_magnitude_solve,
-             ([5e154], [1e154], [0.0], 60, 0.9)),
+            (newton_magnitude_solve, reference_newton_magnitude_solve, overflow),
+            (error_reduction, reference_error_reduction, overflow),
             (error_reduction, reference_error_reduction,
              ([1e308, 1e308], [1.79e308, 0.0], [0.0, 0.0], 60, 1e-10)),
         ]
@@ -274,6 +276,19 @@ class TestSolversMatchReferenceLoops:
             found = solve(*args)
             _assert_same(found, reference(*args))
             assert found[2] <= 1
+
+    def test_gate_admits_every_passing_misfit(self):
+        # residual <= t allows |r_k| up to t / (1 - t) * max(z_k, 1): r = 4 at
+        # z = 1 passes t = 0.9 (residual 0.8), and r = 0.4 at z = 0.1 passes
+        # t = 0.5 (residual 0.4), so neither start may be skipped
+        for args in (([5.0], [1.0], [0.0], 60, 0.9), ([0.5], [0.1], [0.0], 60, 0.5)):
+            for solve, reference in (
+                (newton_magnitude_solve, reference_newton_magnitude_solve),
+                (error_reduction, reference_error_reduction),
+            ):
+                found = solve(*args)
+                _assert_same(found, reference(*args))
+                assert found[2] <= 1
 
     def test_long_projection_run_on_padded_data(self):
         # the c05 budget on data that determine the signal: residuals are

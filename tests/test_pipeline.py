@@ -8,6 +8,7 @@ import pytest
 from heisenberg_orbits import (
     GroupElement,
     HeisenbergInvariants,
+    InconsistentInvariants,
     NonGenericInput,
     NotRealSignal,
     PhaseRetrievalConfig,
@@ -24,7 +25,7 @@ from heisenberg_orbits import (
     verify_against_truth,
 )
 
-from helpers import generic_signal
+from helpers import generic_signal, inconsistent_bm_bundle
 
 BIG_BUDGET = PhaseRetrievalConfig(seed=9, max_restarts=4000)
 
@@ -200,6 +201,36 @@ class TestRecoverOrbit:
                 assert equivalent  # a success must never fail the oracle
                 hits += 1
         assert hits >= 4
+
+
+class TestStageOneRejects:
+    # bundles that no start can pass raise before the first start; with these
+    # seeds and budgets the search used to run all 2000 and 4000 starts
+    @pytest.fixture(autouse=True)
+    def no_start(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a start ran")
+
+        monkeypatch.setattr("heisenberg_orbits.pipeline.newton_magnitude_solve", fail)
+
+    def test_bispectrum_off_its_own_inversion(self):
+        inv = inconsistent_bm_bundle()
+        cfg = PhaseRetrievalConfig(seed=3, max_restarts=2000)
+        with pytest.raises(InconsistentInvariants, match="9.091e-02"):
+            recover_orbit(inv, cfg)
+        # the bound is the recovery tolerance
+        with pytest.raises(AssertionError, match="a start ran"):
+            recover_orbit(inv, cfg, ToleranceConfig(recovery_tol=0.1))
+
+    def test_vanishing_power_sum(self):
+        inv = heisenberg_invariants(0.05 * generic_signal(6, 5024))
+        assert abs(inv.power_sum) < 1e-8  # 6.5e-9
+        cfg = PhaseRetrievalConfig(seed=24, max_restarts=4000)
+        with pytest.raises(NonGenericInput, match="power sum"):
+            recover_orbit(inv, cfg)
+        # the bound is the genericity floor
+        with pytest.raises(AssertionError, match="a start ran"):
+            recover_orbit(inv, cfg, ToleranceConfig(genericity_floor=1e-9))
 
 
 class TestVerifyAgainstTruth:

@@ -107,6 +107,12 @@ class TestPrincipalNthRoot:
         assert abs(principal_nth_root(-1, 2) - 1j) < 1e-12
         assert abs(principal_nth_root(8, 3) - 2) < 1e-12
 
+    def test_angle_just_below_zero(self):
+        # np.angle(c) % (2*pi) rounds these up to 2*pi, whose root 1j has
+        # argument 2*pi/4, outside [0, 2*pi/4)
+        assert abs(principal_nth_root(1 - 1e-17j, 4) - 1) < 1e-12
+        assert abs(principal_nth_root(1 - 1e-300j, 4) - 1) < 1e-12
+
     def test_zero_input(self):
         with pytest.raises(ZeroInput):
             principal_nth_root(1e-12, 5)
