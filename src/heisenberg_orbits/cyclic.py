@@ -26,6 +26,16 @@ from .spectral import (
     principal_nth_root,
 )
 
+__all__ = [
+    "WeightedCyclicInvariants",
+    "apply_weighted_generator",
+    "weighted_invariants",
+    "recover_weighted",
+    "recover_weight12",
+    "recover_cyclic_orbit",
+    "degree_audit",
+]
+
 CONSISTENCY_TOL = 1e-6
 
 

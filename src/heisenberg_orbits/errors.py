@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "HeisenbergOrbitError",
+    "OrderMismatch",
+    "ZeroInput",
+    "NonGenericInput",
+    "NotRealSignal",
+    "InconsistentMagnitudes",
+    "InconsistentInvariants",
+    "InputFormatError",
+]
+
 
 class HeisenbergOrbitError(Exception):
     """Base class for every error raised by this package."""

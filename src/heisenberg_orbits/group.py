@@ -16,6 +16,17 @@ import numpy as np
 from .errors import OrderMismatch
 from .spectral import as_complex_vector
 
+__all__ = [
+    "GroupElement",
+    "identity",
+    "multiply",
+    "inverse",
+    "act",
+    "enumerate_group",
+    "orbit_distance",
+    "orbit_equivalent",
+]
+
 
 @dataclass(frozen=True)
 class GroupElement:

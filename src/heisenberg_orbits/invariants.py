@@ -22,6 +22,21 @@ from .spectral import (
     vanishing_coefficients,
 )
 
+__all__ = [
+    "HeisenbergInvariants",
+    "GenericityReport",
+    "modulus_vector",
+    "fourier_modulus_vector",
+    "unitary_bispectrum",
+    "modulus_bispectrum",
+    "fourier_modulus_bispectrum",
+    "power_invariant",
+    "heisenberg_invariants",
+    "is_generic",
+    "bispectra_distance",
+    "invariant_distance",
+]
+
 
 @dataclass(frozen=True)
 class HeisenbergInvariants:

@@ -36,6 +36,12 @@ from .spectral import (
     vanishing_coefficients,
 )
 
+__all__ = [
+    "InversionResult",
+    "invert_bispectrum",
+    "invert_real_bispectrum",
+]
+
 
 @dataclass(frozen=True)
 class InversionResult:

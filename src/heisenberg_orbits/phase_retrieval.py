@@ -28,6 +28,17 @@ from .spectral import (
     max_relative_deviation,
 )
 
+__all__ = [
+    "PhaseRetrievalConfig",
+    "RecoveryReport",
+    "check_energy_balance",
+    "magnitudes_match",
+    "best_global_phase",
+    "error_reduction",
+    "newton_magnitude_solve",
+    "retrieve_phase",
+]
+
 ENERGY_BALANCE_TOL = 1e-6
 
 # Gauss-Newton line search: step lengths 1, 1/2, ..., 1/32, tried in order
@@ -112,10 +123,10 @@ def magnitudes_match(x, y_mag, z_mag, tol: float) -> bool:
 
 
 def _magnitude_residual(x, X, y, z) -> float:
-    # worst relative mismatch of |x|**2 against y and of |X|**2 against z
-    return max(
-        max_relative_deviation(np.abs(x) ** 2, y),
-        max_relative_deviation(np.abs(X) ** 2, z),
+    # worst relative mismatch of |x|**2 against y and of |X|**2 against z,
+    # taken over both at once so that a nan on either side is kept
+    return max_relative_deviation(
+        np.concatenate((np.abs(x) ** 2, np.abs(X) ** 2)), np.concatenate((y, z))
     )
 
 
@@ -137,8 +148,7 @@ def best_global_phase(a, b) -> tuple[complex, float]:
 def _project_phases(values, target_mags):
     # nearest point with prescribed magnitudes; zero values get phase 0
     mags = np.abs(values)
-    unit = np.where(mags > 0, values / np.where(mags > 0, mags, 1.0), 1.0)
-    return target_mags * unit
+    return target_mags * np.divide(values, mags, out=np.ones_like(values), where=mags > 0)
 
 
 def _validated_start(y_mag, z_mag, initial_phases):
@@ -159,11 +169,11 @@ def _residual_gate(z, t) -> float:
     # r = |dft(x)|**2 - z, and no result changes, since its residual exceeds
     # t and is not nan. residual <= t < 1 bounds every |r_k| by
     # t / (1 - t) * max(z_k, 1), so past twice the norm of that bound (the
-    # factor covers rounding) the frequency side alone exceeds t. The time
-    # side cannot be nan: an overflowing |x_j|**2 forces some |X_k|**2
-    # (Parseval), and so ||r||, to overflow, and a z that large makes the
-    # gate inf; a nan in x makes ||r|| nan. For t >= 1 or nan every iterate
-    # is checked.
+    # factor covers rounding) the frequency side alone exceeds t. Neither
+    # side can be nan: a finite ||r|| keeps every |X_k|**2 finite, an
+    # overflowing |x_j|**2 forces some |X_k|**2 (Parseval), and so ||r||, to
+    # overflow, and a z that large makes the gate inf; a nan in x makes ||r||
+    # nan. For t >= 1 or nan every iterate is checked.
     if t < 1:
         return 2.0 * t / (1.0 - t) * _norm(np.maximum(z, 1.0))
     return math.inf

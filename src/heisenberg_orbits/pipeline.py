@@ -66,6 +66,13 @@ from .spectral import (
     principal_nth_root,
 )
 
+__all__ = [
+    "StageResiduals",
+    "OrbitRecoveryReport",
+    "recover_orbit",
+    "verify_against_truth",
+]
+
 PHASE_RATIO_BAND = 1e-3
 
 
@@ -130,18 +137,23 @@ def recover_orbit(
     converged starts, which is how a budget too small for the orbit class
     and a tampered bundle (power sum with the wrong magnitude) surface.
     Only stage 1 raises, before the first start: the bispectrum inversions
-    (NonGenericInput, NotRealSignal), the energy-balance check
-    (InconsistentMagnitudes), InconsistentInvariants when res_bm or res_bfm
-    exceeds tol.recovery_tol, since every start's bispectra then miss the
-    bundle's in the final match, and NonGenericInput when |power_sum| is at
-    or below tol.genericity_floor, since no phase fix then exists.
+    (NonGenericInput, NotRealSignal), the energy-balance check on the
+    inverted vectors clipped at 0 (InconsistentMagnitudes),
+    InconsistentInvariants when res_bm or res_bfm exceeds tol.recovery_tol,
+    since every start's bispectra then miss the bundle's in the final match,
+    and NonGenericInput when |power_sum| is at or below tol.genericity_floor,
+    since no phase fix then exists.
     """
     pr_cfg = pr_cfg if pr_cfg is not None else PhaseRetrievalConfig()
     tol = tol if tol is not None else ToleranceConfig()
 
+    # an exact zero of |x_j|**2 or |dft(x)_k|**2 can invert to about -1e-16;
+    # the replays judge the clipped vectors that the search uses
     y = invert_real_bispectrum(inv.bm, floor=tol.genericity_floor, rel_eq=tol.rel_eq)
+    y = np.maximum(y, 0.0)
     res_bm = max_relative_deviation(inv.bm, unitary_bispectrum(dft(y)))
     z = invert_real_bispectrum(inv.bfm, floor=tol.genericity_floor, rel_eq=tol.rel_eq)
+    z = np.maximum(z, 0.0)
     res_bfm = max_relative_deviation(inv.bfm, unitary_bispectrum(dft(z)))
 
     y, z = check_energy_balance(y, z)

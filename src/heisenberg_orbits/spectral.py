@@ -14,6 +14,22 @@ import numpy as np
 
 from .errors import ZeroInput
 
+__all__ = [
+    "DEFAULT_REL_EQ",
+    "DEFAULT_GENERICITY_FLOOR",
+    "DEFAULT_RECOVERY_TOL",
+    "ToleranceConfig",
+    "as_complex_vector",
+    "as_real_vector",
+    "dft",
+    "idft",
+    "dft_matrix",
+    "cyclic_shift",
+    "principal_nth_root",
+    "sample_random_signal",
+    "max_relative_deviation",
+]
+
 DEFAULT_REL_EQ = 1e-9
 DEFAULT_GENERICITY_FLOOR = 1e-8
 DEFAULT_RECOVERY_TOL = 1e-6

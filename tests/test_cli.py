@@ -25,7 +25,7 @@ from heisenberg_orbits.serialization import (
     load_json,
 )
 
-from helpers import generic_signal, inconsistent_bm_bundle, min_shift_distance
+from helpers import generic_signal, inconsistent_bm_bundle, min_shift_distance, zero_padded
 
 
 def write_vector(path, x):
@@ -132,6 +132,16 @@ class TestRecoverCommand:
         assert abs(report["diagnostics"]["phase_fix"]["ratio_modulus"] - 1.0) <= 1e-3
         write_vector(cand_path, complex_vector_from_json(report["candidate"]))
         assert main(["verify", str(src), str(cand_path), "--tol", "1e-6"]) == 0
+
+    def test_zero_entry_bundle_recovers(self, tmp_path):
+        # the zero entry inverts to a tiny negative, which stage 1 clips at 0
+        inv_path = tmp_path / "inv.json"
+        rec_path = tmp_path / "rec.json"
+        dump_json(invariants_to_json(heisenberg_invariants(zero_padded(generic_signal(3, 505)))),
+                  inv_path)
+        args = ["recover", str(inv_path), str(rec_path), "--seed", "5", "--max-restarts", "100"]
+        assert main(args) == 0
+        assert load_json(rec_path)["success"] is True
 
     def test_tampered_power_sum(self, tmp_path):
         x = generic_signal(5, 5)

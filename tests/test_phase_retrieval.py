@@ -98,6 +98,16 @@ class TestRetrievePhase:
         assert report.restarts_used == 1
         np.testing.assert_array_equal(report.candidate, np.zeros(4))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_frequency_side_fails(self):
+        # |X_0|**2 of the first start overflows, so its frequency deviation
+        # is inf / inf; the residual keeps that nan, and no start can succeed
+        y, z = [1e308, 1e308], [1.79e308, 0.0]
+        report = retrieve_phase(y, z)
+        assert not report.success
+        assert np.isnan(report.residual)
+        assert not magnitudes_match(report.candidate, y, z, 1e-6)
+
     def test_parseval_violation(self):
         with pytest.raises(InconsistentMagnitudes):
             retrieve_phase(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
@@ -263,8 +273,8 @@ class TestSolversMatchReferenceLoops:
     def test_overflowing_squares_are_still_checked(self):
         # r = 4e154 overflows ||r|| past a finite gate, yet residual 0.8
         # passes t = 0.9, for both solvers. In the last case |X_0|**2
-        # overflows, so ||r|| is inf and the start is checked, which ends
-        # the run at once.
+        # overflows, so ||r|| is inf and the start is checked; its residual
+        # is nan, which ends the run at once.
         overflow = ([5e154], [1e154], [0.0], 60, 0.9)
         cases = [
             (newton_magnitude_solve, reference_newton_magnitude_solve, overflow),
@@ -276,6 +286,7 @@ class TestSolversMatchReferenceLoops:
             found = solve(*args)
             _assert_same(found, reference(*args))
             assert found[2] <= 1
+        assert np.isnan(found[1])
 
     def test_gate_admits_every_passing_misfit(self):
         # residual <= t allows |r_k| up to t / (1 - t) * max(z_k, 1): r = 4 at

@@ -9,6 +9,7 @@ from heisenberg_orbits import (
     GroupElement,
     HeisenbergInvariants,
     InconsistentInvariants,
+    InconsistentMagnitudes,
     NonGenericInput,
     NotRealSignal,
     PhaseRetrievalConfig,
@@ -17,6 +18,7 @@ from heisenberg_orbits import (
     dft,
     heisenberg_invariants,
     invariant_distance,
+    modulus_vector,
     orbit_distance,
     power_invariant,
     recover_orbit,
@@ -25,7 +27,7 @@ from heisenberg_orbits import (
     verify_against_truth,
 )
 
-from helpers import generic_signal, inconsistent_bm_bundle
+from helpers import generic_signal, inconsistent_bm_bundle, zero_padded
 
 BIG_BUDGET = PhaseRetrievalConfig(seed=9, max_restarts=4000)
 
@@ -144,6 +146,28 @@ class TestRecoverOrbit:
         assert math.isnan(report.stage_residuals.phase_fix)
         assert len(report.candidate) == 6
 
+    @pytest.mark.parametrize(
+        "x, seed, orbit_tol",
+        [
+            # |x_3|**2 = 0 inverts to -1.1e-16
+            (zero_padded(generic_signal(3, 505)), 5, 1e-6),
+            # a zero |dft(x)_k|**2 inverts to -3.2e-17; fitting it to the
+            # residual target 1e-10 leaves |dft(x)_k| near 1e-5, and the
+            # candidate lies 4.1e-6 from the orbit
+            (np.fft.ifft(zero_padded(generic_signal(4, 575))), 75, 1e-5),
+        ],
+        ids=["time", "frequency"],
+    )
+    def test_zero_entry_inverts_to_a_tiny_negative(self, x, seed, orbit_tol):
+        # stage 1 clips it rather than rejecting the bundle as having a
+        # negative squared magnitude
+        inv = heisenberg_invariants(x)
+        report = recover_orbit(inv, PhaseRetrievalConfig(seed=seed, max_restarts=100))
+        assert report.success
+        assert invariant_distance(heisenberg_invariants(report.candidate), inv) <= 1e-6
+        equivalent, _, _ = verify_against_truth(report, x, orbit_tol)
+        assert equivalent
+
     def test_non_generic_bundle_rejected(self):
         inv = heisenberg_invariants(np.ones(4, dtype=complex))
         with pytest.raises(NonGenericInput):
@@ -231,6 +255,25 @@ class TestStageOneRejects:
         # the bound is the genericity floor
         with pytest.raises(AssertionError, match="a start ran"):
             recover_orbit(inv, cfg, ToleranceConfig(genericity_floor=1e-9))
+
+
+    @pytest.mark.parametrize(
+        "clipped_sum, error, message",
+        [(False, InconsistentMagnitudes, "energy balance"),
+         (True, InconsistentInvariants, "bispectra differ")],
+    )
+    def test_clearly_negative_inversion(self, clipped_sum, error, message):
+        # bm of a real vector with an entry of -|x_1|**2: the clip at 0 either
+        # breaks the energy balance, or, where another entry makes up for it,
+        # moves the bispectrum of the inversion far off bm
+        inv = heisenberg_invariants(generic_signal(4, 11))
+        y = modulus_vector(generic_signal(4, 11))
+        v = np.array([y[0] + (1.0 if clipped_sum else 2.0) * y[1], -y[1], y[2], y[3]])
+        bad = HeisenbergInvariants(
+            n=4, bm=unitary_bispectrum(dft(v)), bfm=inv.bfm, power_sum=inv.power_sum
+        )
+        with pytest.raises(error, match=message):
+            recover_orbit(bad)
 
 
 class TestVerifyAgainstTruth:
