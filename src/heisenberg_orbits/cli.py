@@ -39,12 +39,7 @@ from .serialization import (
     weighted_invariants_from_json,
     weighted_invariants_to_json,
 )
-from .spectral import (
-    DEFAULT_GENERICITY_FLOOR,
-    DEFAULT_RECOVERY_TOL,
-    ToleranceConfig,
-    sample_random_signal,
-)
+from .spectral import DEFAULT_RECOVERY_TOL, ToleranceConfig, sample_random_signal
 
 EXIT_OK = 0
 EXIT_VERIFY_NEGATIVE = 1
@@ -65,11 +60,11 @@ def _derived_seed(*entropy: int) -> int:
     return int(np.random.SeedSequence(list(entropy)).generate_state(1, np.uint64)[0])
 
 
-def _sample_generic(n: int, base_seed: int, trial: int, floor: float):
+def _sample_generic(n: int, base_seed: int, trial: int):
     for attempt in range(_GENERIC_ATTEMPTS):
         seed = _derived_seed(base_seed, n, trial, attempt)
         x = sample_random_signal(n, seed)
-        if is_generic(x, floor):
+        if is_generic(x):
             return x, seed
     raise NonGenericInput(
         f"no generic sample found for n={n}, trial={trial} "
@@ -79,14 +74,15 @@ def _sample_generic(n: int, base_seed: int, trial: int, floor: float):
 
 def cmd_invariants(args) -> int:
     x = complex_vector_from_json(load_json(args.input))
-    report = is_generic(x, args.floor)
+    report = is_generic(x)
     if report.generic:
         print("generic: true", file=sys.stderr)
     else:
         print(
             "generic: false"
             f" (modulus side failures: {list(report.modulus_failures)},"
-            f" fourier side failures: {list(report.fourier_modulus_failures)})",
+            f" fourier side failures: {list(report.fourier_modulus_failures)},"
+            f" power sum vanishes: {str(report.power_sum_vanishes).lower()})",
             file=sys.stderr,
         )
     if args.require_generic and not report.generic:
@@ -130,7 +126,7 @@ def _format_cell(value) -> str:
 def _experiment_row(spec: ExperimentSpec, n: int, trial: int) -> tuple[list, bool]:
     """One trial's CSV cells up to wall_ms, and whether its recovery succeeded."""
     try:
-        x, seed = _sample_generic(n, spec.seed, trial, spec.tolerances.genericity_floor)
+        x, seed = _sample_generic(n, spec.seed, trial)
         pr_cfg = replace(
             spec.pr_config, seed=_derived_seed(spec.pr_config.seed, n, trial, 7919)
         )
@@ -199,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("output", help="invariant bundle JSON file to write")
     p.add_argument("--require-generic", action="store_true",
                    help="exit 3 instead of writing output for non-generic input")
-    p.add_argument("--floor", type=float, default=DEFAULT_GENERICITY_FLOOR,
-                   help="genericity floor for the nonvanishing check")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("recover", help="reconstruct an orbit element from a bundle")

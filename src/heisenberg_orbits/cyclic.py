@@ -24,6 +24,7 @@ from .spectral import (
     as_complex_vector,
     dft,
     principal_nth_root,
+    vanishing_coefficients,
 )
 
 __all__ = [
@@ -90,16 +91,15 @@ def recover_weighted(inv: WeightedCyclicInvariants) -> np.ndarray:
     cube of the last coordinate: the ratio a[n-1] / v_n**3 has unit modulus
     for consistent data, and the principal (3n)-th root theta of its phase
     rephases the solution as (theta * v1, theta**2 * v2, ...), landing in
-    the group orbit. A first coordinate or a solved coordinate of modulus
-    at or below DEFAULT_GENERICITY_FLOOR raises NonGenericInput.
+    the group orbit. A coordinate, the first included, of modulus at or
+    below DEFAULT_GENERICITY_FLOOR raises NonGenericInput.
     """
     n = inv.n
-    if inv.r <= DEFAULT_GENERICITY_FLOOR:
-        raise NonGenericInput("first coordinate magnitude is numerically zero")
     v = np.zeros(n, dtype=np.complex128)
     v[0] = np.sqrt(inv.r)
-    for k in range(1, n):
-        v[k] = np.conj(inv.a[k - 1] / (v[0] * v[k - 1]))
+    for k in range(n):
+        if k:
+            v[k] = np.conj(inv.a[k - 1] / (v[0] * v[k - 1]))
         if abs(v[k]) <= DEFAULT_GENERICITY_FLOOR:
             raise NonGenericInput(f"coordinate {k + 1} is numerically zero")
     mu = inv.a[n - 1] / v[n - 1] ** 3
@@ -117,8 +117,11 @@ def recover_weight12(r1: float, r2: float, a) -> np.ndarray:
 
     This is the circle action with weights 1 and 2; the output is one
     representative, every other solution being (e^{i t} x1, e^{2 i t} x2).
+    A modulus sqrt(r1) or sqrt(r2) at or below DEFAULT_GENERICITY_FLOOR
+    raises NonGenericInput.
     """
-    if r1 <= DEFAULT_GENERICITY_FLOOR or r2 <= DEFAULT_GENERICITY_FLOOR:
+    moduli = np.sqrt(np.maximum((r1, r2), 0.0))
+    if vanishing_coefficients(moduli).size:
         raise NonGenericInput("both coordinates must be nonvanishing")
     a = complex(a)
     expected = r1 * r1 * r2
@@ -126,7 +129,7 @@ def recover_weight12(r1: float, r2: float, a) -> np.ndarray:
         raise InconsistentInvariants(
             f"|a|**2 = {abs(a) ** 2:.6e} does not match r1**2 * r2 = {expected:.6e}"
         )
-    x1 = complex(np.sqrt(r1))
+    x1 = complex(moduli[0])
     x2 = np.conj(a / x1 ** 2)
     return np.array([x1, x2], dtype=np.complex128)
 

@@ -64,12 +64,12 @@ class HeisenbergInvariants:
 
 @dataclass(frozen=True)
 class GenericityReport:
-    """Outcome of the nonvanishing-coefficients check; truthy iff generic."""
+    """Outcome of the genericity check; truthy iff generic."""
 
     generic: bool
-    floor: float
     modulus_failures: tuple[int, ...]
     fourier_modulus_failures: tuple[int, ...]
+    power_sum_vanishes: bool
 
     def __bool__(self) -> bool:
         return self.generic
@@ -128,22 +128,25 @@ def heisenberg_invariants(x) -> HeisenbergInvariants:
 
 
 def is_generic(x, floor: float = DEFAULT_GENERICITY_FLOOR) -> GenericityReport:
-    """Check that both derived spectra have all coefficients above floor.
+    """Check that both derived spectra and the power sum are above floor.
 
     Recovery is only well posed when the transforms of the squared-modulus
-    and squared-Fourier-modulus vectors never vanish; the report lists
-    offending indices on each side.
+    and squared-Fourier-modulus vectors never vanish, and the phase fix only
+    when the power sum does not; the report lists offending indices on each
+    side and whether the power sum is at or below the floor. At the default
+    floor this is the rule `recover_orbit` applies to a bundle.
     """
     if not floor > 0:
         raise ValueError("floor must be strictly positive")
     x = as_complex_vector(x)
     y_fail = tuple(vanishing_coefficients(dft(modulus_vector(x)), floor).tolist())
     z_fail = tuple(vanishing_coefficients(dft(fourier_modulus_vector(x)), floor).tolist())
+    power_sum_vanishes = abs(power_invariant(x)) <= floor
     return GenericityReport(
-        generic=not y_fail and not z_fail,
-        floor=floor,
+        generic=not y_fail and not z_fail and not power_sum_vanishes,
         modulus_failures=y_fail,
         fourier_modulus_failures=z_fail,
+        power_sum_vanishes=power_sum_vanishes,
     )
 
 

@@ -15,9 +15,10 @@ V for the unknown spectrum:
    unknown; the wrap-around constraint phi_N = phi_0 (mod 2*pi) restricts t
    to N candidates that differ by 2*pi/N, exactly the cyclic-shift freedom.
    The canonical choice takes the m = 0 candidate.
-4. Only row B[1, .] is consumed as data; every other entry is replayed as a
-   consistency check and lands in the reported residual, which catches
-   corrupted or non-bispectral inputs.
+4. Only row B[1, .] is consumed as data; every other entry is replayed
+   into the residual of `invert_bispectrum`. `invert_real_bispectrum`
+   returns the signal alone and drops that residual, so `recover_orbit`
+   replays the inverted vectors itself, after clipping them at 0.
 """
 
 from __future__ import annotations
@@ -28,19 +29,17 @@ import numpy as np
 
 from .errors import NonGenericInput, NotRealSignal
 from .invariants import unitary_bispectrum
-from .spectral import (
-    DEFAULT_GENERICITY_FLOOR,
-    DEFAULT_REL_EQ,
-    idft,
-    max_relative_deviation,
-    vanishing_coefficients,
-)
+from .spectral import idft, max_relative_deviation, vanishing_coefficients
 
 __all__ = [
     "InversionResult",
     "invert_bispectrum",
     "invert_real_bispectrum",
 ]
+
+# a value whose imaginary part is at most this fraction of its modulus (of
+# the signal's norm, for a recovered signal) counts as real
+_REL_EQ = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,21 +51,13 @@ class InversionResult:
     residual: float
 
 
-def invert_bispectrum(
-    B,
-    floor: float = DEFAULT_GENERICITY_FLOOR,
-    rel_eq: float = DEFAULT_REL_EQ,
-) -> InversionResult:
+def invert_bispectrum(B) -> InversionResult:
     """Invert a bispectrum matrix to a canonical cyclic-shift representative.
 
     Parameters
     ----------
     B : (N, N) complex array
         Bispectrum of some spectrum with nonvanishing entries.
-    floor : float
-        Genericity floor; spectra with a magnitude at or below it are rejected.
-    rel_eq : float
-        Maximum tolerated relative imaginary part in magnitude estimates.
 
     Returns
     -------
@@ -77,8 +68,9 @@ def invert_bispectrum(
     Raises
     ------
     NonGenericInput
-        If |V[0]| or any magnitude estimate is at or below the floor, or a
-        magnitude estimate is not real within rel_eq.
+        If |V[0]| or any magnitude estimate is at or below
+        DEFAULT_GENERICITY_FLOOR, or a squared-magnitude estimate has an
+        imaginary part above 1e-9 of its modulus.
     """
     B = np.asarray(B, dtype=np.complex128)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] == 0:
@@ -86,18 +78,18 @@ def invert_bispectrum(
     n = B.shape[0]
 
     b00 = complex(B[0, 0])
-    if vanishing_coefficients(abs(b00) ** (1.0 / 3.0), floor).size:
+    if vanishing_coefficients(abs(b00) ** (1.0 / 3.0)).size:
         raise NonGenericInput("leading bispectrum entry is numerically zero")
     v0 = b00 / abs(b00) ** (2.0 / 3.0)
 
     power = B[:, 0] / v0
     mags = np.sqrt(np.maximum(power.real, 0.0))
-    low = vanishing_coefficients(mags, floor)
+    low = vanishing_coefficients(mags)
     if low.size:
         raise NonGenericInput(
             f"spectrum magnitudes at or below floor at indices {low.tolist()}"
         )
-    not_real = np.flatnonzero(np.abs(power.imag) > rel_eq * np.abs(power))
+    not_real = np.flatnonzero(np.abs(power.imag) > _REL_EQ * np.abs(power))
     if not_real.size:
         raise NonGenericInput(
             f"squared-magnitude estimates are not real at indices {not_real.tolist()}"
@@ -110,7 +102,7 @@ def invert_bispectrum(
     # roundoff, so equal-up-to-shift inputs invert to the same representative.
     row = np.concatenate(([b00], B[1, 1:] if n > 1 else []))
     angles = np.where(
-        np.abs(row.imag) <= rel_eq * np.abs(row),
+        np.abs(row.imag) <= _REL_EQ * np.abs(row),
         np.where(row.real >= 0, 0.0, np.pi),
         np.angle(row),
     )
@@ -127,22 +119,17 @@ def invert_bispectrum(
     return InversionResult(spectrum=spectrum, signal=signal, residual=residual)
 
 
-def invert_real_bispectrum(
-    B,
-    floor: float = DEFAULT_GENERICITY_FLOOR,
-    rel_eq: float = DEFAULT_REL_EQ,
-) -> np.ndarray:
+def invert_real_bispectrum(B) -> np.ndarray:
     """Invert the bispectrum of a real vector; returns the real signal.
 
     Raises NotRealSignal when the recovered signal carries an imaginary
-    residue above rel_eq * ||signal||, which means the input was not the
+    residue above 1e-9 * ||signal||, which means the input was not the
     bispectrum of any real vector. NonGenericInput propagates from the
     underlying inversion.
     """
-    result = invert_bispectrum(B, floor=floor, rel_eq=rel_eq)
-    signal = result.signal
+    signal = invert_bispectrum(B).signal
     residue = float(np.max(np.abs(signal.imag)))
-    if residue > rel_eq * float(np.linalg.norm(signal)):
+    if residue > _REL_EQ * float(np.linalg.norm(signal)):
         raise NotRealSignal(
             f"imaginary residue {residue:.3e} too large for a real-vector bispectrum"
         )

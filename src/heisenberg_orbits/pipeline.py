@@ -59,6 +59,7 @@ from .phase_retrieval import (
     newton_magnitude_solve,
 )
 from .spectral import (
+    DEFAULT_GENERICITY_FLOOR,
     ToleranceConfig,
     dft,
     dft_matrix,
@@ -111,7 +112,7 @@ def recover_orbit(
     The magnitude search is a seeded multistart: start r draws its phases
     from seed pr_cfg.seed + r and runs newton_magnitude_solve under its
     default iteration cap. A converged start must pass two screens to be
-    accepted: its power sum is above tol.genericity_floor in modulus and
+    accepted: its power sum is above DEFAULT_GENERICITY_FLOOR in modulus and
     matches the bundle's within the consistency band, and after the
     global-phase fix the fully recomputed bundle matches within the recovery
     tolerance. The first accepted start wins. The phase fix takes the
@@ -129,7 +130,11 @@ def recover_orbit(
 
     Success is guaranteed only for bundles of generic vectors, and only with
     the probability that the multistart budget reaches the bundle-consistent
-    solution class. A search that accepts no start returns a best-effort
+    solution class. At N = 2 success does not place the candidate in the
+    source orbit: reversal is then the identity, so x and
+    exp(i arg power_sum) * conj(x) share the whole bundle yet lie in
+    different orbits (half of 40 seeded recoveries landed in the other
+    one). A search that accepts no start returns a best-effort
     report with success=False: the lowest-residual start as candidate, a nan
     phase fix and ratio_modulus None. Its counts tell the failures apart:
     converged_starts 0 means no start converged, and otherwise
@@ -141,18 +146,18 @@ def recover_orbit(
     inverted vectors clipped at 0 (InconsistentMagnitudes),
     InconsistentInvariants when res_bm or res_bfm exceeds tol.recovery_tol,
     since every start's bispectra then miss the bundle's in the final match,
-    and NonGenericInput when |power_sum| is at or below tol.genericity_floor,
-    since no phase fix then exists.
+    and NonGenericInput when |power_sum| is at or below
+    DEFAULT_GENERICITY_FLOOR, since no phase fix then exists.
     """
     pr_cfg = pr_cfg if pr_cfg is not None else PhaseRetrievalConfig()
     tol = tol if tol is not None else ToleranceConfig()
 
     # an exact zero of |x_j|**2 or |dft(x)_k|**2 can invert to about -1e-16;
     # the replays judge the clipped vectors that the search uses
-    y = invert_real_bispectrum(inv.bm, floor=tol.genericity_floor, rel_eq=tol.rel_eq)
+    y = invert_real_bispectrum(inv.bm)
     y = np.maximum(y, 0.0)
     res_bm = max_relative_deviation(inv.bm, unitary_bispectrum(dft(y)))
-    z = invert_real_bispectrum(inv.bfm, floor=tol.genericity_floor, rel_eq=tol.rel_eq)
+    z = invert_real_bispectrum(inv.bfm)
     z = np.maximum(z, 0.0)
     res_bfm = max_relative_deviation(inv.bfm, unitary_bispectrum(dft(z)))
 
@@ -162,10 +167,10 @@ def recover_orbit(
             f"bispectra differ from those of their inversions by "
             f"{max(res_bm, res_bfm):.3e}, above the recovery tolerance {tol.recovery_tol:.3e}"
         )
-    if abs(inv.power_sum) <= tol.genericity_floor:
+    if abs(inv.power_sum) <= DEFAULT_GENERICITY_FLOOR:
         raise NonGenericInput(
             f"power sum {abs(inv.power_sum):.3e} in modulus is at or below the "
-            f"genericity floor {tol.genericity_floor:.3e}"
+            f"genericity floor {DEFAULT_GENERICITY_FLOOR:.3e}"
         )
     n = len(y)
     forward = dft_matrix(n)
@@ -187,7 +192,7 @@ def recover_orbit(
             continue
         converged += 1
         base = power_invariant(candidate)
-        if abs(base) <= tol.genericity_floor:
+        if abs(base) <= DEFAULT_GENERICITY_FLOOR:
             power_rejected += 1
             continue
         ratio = inv.power_sum / base

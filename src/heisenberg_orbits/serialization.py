@@ -110,12 +110,6 @@ def group_element_to_json(g: GroupElement) -> dict:
     return {"N": g.order, "k": g.k, "n": g.n, "m": g.m}
 
 
-def group_element_from_json(obj) -> GroupElement:
-    where = "group element"
-    order = _int(obj, "N", where, minimum=1)
-    return GroupElement(order, *(_int(obj, key, where) for key in ("k", "n", "m")))
-
-
 def invariants_to_json(inv: HeisenbergInvariants) -> dict:
     return {
         "n": inv.n,
@@ -167,7 +161,7 @@ class ExperimentSpec:
 # the config defaults, and pr_config's seed defaults to the spec seed.
 _SPEC_SECTIONS = {
     "pr_config": {"max_restarts": _int, "residual_target": _numbers, "seed": _int},
-    "tolerances": dict.fromkeys(("rel_eq", "genericity_floor", "recovery_tol"), _numbers),
+    "tolerances": {"recovery_tol": _numbers},
 }
 
 

@@ -15,7 +15,6 @@ import numpy as np
 from .errors import ZeroInput
 
 __all__ = [
-    "DEFAULT_REL_EQ",
     "DEFAULT_GENERICITY_FLOOR",
     "DEFAULT_RECOVERY_TOL",
     "ToleranceConfig",
@@ -30,28 +29,25 @@ __all__ = [
     "max_relative_deviation",
 ]
 
-DEFAULT_REL_EQ = 1e-9
 DEFAULT_GENERICITY_FLOOR = 1e-8
 DEFAULT_RECOVERY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds threaded through the recovery pipeline.
+    """The recovery pipeline's one free tolerance.
 
-    rel_eq: relative-equality threshold for consistency checks.
-    genericity_floor: smallest magnitude treated as nonvanishing.
-    recovery_tol: orbit-distance acceptance threshold for recoveries.
+    recovery_tol: how far (max relative deviation) the bundle recomputed
+    from a candidate may lie from the input bundle for the candidate to be
+    accepted; the experiment also checks orbit distances against it.
+    Genericity is judged at DEFAULT_GENERICITY_FLOOR throughout.
     """
 
-    rel_eq: float = DEFAULT_REL_EQ
-    genericity_floor: float = DEFAULT_GENERICITY_FLOOR
     recovery_tol: float = DEFAULT_RECOVERY_TOL
 
     def __post_init__(self):
-        for name in ("rel_eq", "genericity_floor", "recovery_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        if not self.recovery_tol > 0:
+            raise ValueError("recovery_tol must be strictly positive")
 
 
 def vanishing_coefficients(V, floor: float = DEFAULT_GENERICITY_FLOOR) -> np.ndarray:

@@ -6,7 +6,8 @@ signal: the entry and transform magnitudes of x zero-padded to length 2N-1.
 The unpadded N-point magnitudes admit several exact solution classes, so no
 procedure that sees only them can align with the source reliably; a fixed
 case next to criterion 5 pins that multiplicity, and the package README
-gives the analysis.
+gives the analysis. Criterion 6 starts at N=3: a fixed case next to it pins
+a pair of distinct orbits that share the whole bundle at N=2.
 """
 
 import numpy as np
@@ -30,10 +31,12 @@ from heisenberg_orbits import (
     modulus_bispectrum,
     modulus_vector,
     orbit_distance,
+    power_invariant,
     recover_cyclic_orbit,
     recover_orbit,
     recover_weighted,
     retrieve_phase,
+    sample_random_signal,
     unitary_bispectrum,
     verify_against_truth,
     weighted_invariants,
@@ -153,6 +156,18 @@ def test_c05_unpadded_magnitudes_admit_other_classes():
     assert orbit_dist > 0.5 * norm  # measured 0.59
     power_gap = abs(abs(inv_cand.power_sum) - abs(inv.power_sum)) / abs(inv.power_sum)
     assert power_gap > 0.1  # measured 0.16
+
+
+def test_c06_bundle_does_not_separate_orbits_at_n2():
+    # At N=2 reversal is the identity, so conj(x) has the y and z of x, and
+    # so its bispectra. Rotated by the phase of the power sum p, its power sum
+    # is p too, yet it lies in another H_2 orbit.
+    x = sample_random_signal(2, 0)
+    partner = np.exp(1j * np.angle(power_invariant(x))) * np.conj(x)
+    inv, inv_partner = heisenberg_invariants(x), heisenberg_invariants(partner)
+    assert invariant_distance(inv, inv_partner) <= 1e-15  # measured 6.9e-17
+    orbit_dist, _ = orbit_distance(x, partner)
+    assert orbit_dist > 0.2 * np.linalg.norm(x)  # measured 0.118 of 0.477
 
 
 def test_c06_full_orbit_separation_end_to_end():

@@ -102,6 +102,23 @@ class TestInvariantsCommand:
         assert main(["invariants", str(src), str(out)]) == 2
         assert not out.exists()
 
+    def test_vanishing_power_sum_refused(self, tmp_path, capsys):
+        # both spectra clear the floor but the power sum (1.2e-19) does not,
+        # so `recover` would reject the bundle; --require-generic agrees
+        src = tmp_path / "x.json"
+        out = tmp_path / "inv.json"
+        write_vector(src, 1e-4 * generic_signal(5, 205))
+        assert main(["invariants", str(src), str(out), "--require-generic"]) == 3
+        assert "power sum vanishes: true" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_floor_flag_rejected(self, tmp_path):
+        # genericity is judged at the one floor that `recover` uses
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", str(tmp_path / "x.json"), str(tmp_path / "inv.json"),
+                  "--floor", "1e-3"])
+        assert exc.value.code == 2
+
     def test_non_generic_without_flag_still_writes(self, tmp_path):
         src = tmp_path / "x.json"
         out = tmp_path / "inv.json"
@@ -352,7 +369,7 @@ class TestExperimentCommand:
             {
                 "n_values": [3, 4], "trials": 2, "seed": 5,
                 "pr_config": {"max_restarts": 50, "residual_target": 1e-10, "seed": 5},
-                "tolerances": {"rel_eq": 1e-9, "genericity_floor": 1e-8, "recovery_tol": 1e-6},
+                "tolerances": {"recovery_tol": 1e-6},
             },
             explicit_path,
         )
@@ -392,6 +409,9 @@ class TestExperimentCommand:
             # max_iterations bounds no stage of recover_orbit
             {**base, "pr_config": {"max_iterations": 5}},
             {**base, "tolerances": {"recovery_tl": 1e-3}},
+            # genericity and realness are judged at fixed constants
+            {**base, "tolerances": {"rel_eq": 1e-9}},
+            {**base, "tolerances": {"genericity_floor": 1e-8}},
             # spec values are read as typed JSON, never coerced
             {"n_values": [3], "trials": 2.7, "seed": 1, "pr_config": {"max_restarts": True}},
             {"n_values": [3.9], "trials": 1, "seed": "5", "tolerances": {"recovery_tol": "1e-3"}},

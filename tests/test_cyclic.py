@@ -75,6 +75,17 @@ class TestRecoverWeighted:
         with pytest.raises(NonGenericInput):
             recover_weighted(inv)
 
+    @pytest.mark.parametrize(
+        "v",
+        [[1e-5, 1 + 0.5j, 0.7 - 0.2j], [1 + 0.5j, 1e-5, 0.7 - 0.2j]],
+        ids=["first", "middle"],
+    )
+    def test_small_coordinate_recovered(self, v):
+        # the floor applies to moduli: r = 1e-10 is below it, but |v1| = 1e-5
+        # is not, so a small first coordinate is recovered like a middle one
+        candidate = recover_weighted(weighted_invariants(v))
+        assert weighted_orbit_distance(np.array(v), candidate) <= 1e-12
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_round_trip_lands_in_orbit(self, n):
         for s in range(20):
@@ -108,6 +119,12 @@ class TestRecoverWeight12:
     def test_inconsistent_data_rejected(self):
         with pytest.raises(InconsistentInvariants):
             recover_weight12(1.0, 4.0, 3.0)
+
+    def test_small_coordinate_recovered(self):
+        # r1 = 1e-10 is below the floor, but the modulus |x1| = 1e-5 is not
+        x1, x2 = 1e-5, 0.8 + 0.3j
+        cand = recover_weight12(x1 ** 2, abs(x2) ** 2, x1 ** 2 * np.conj(x2))
+        np.testing.assert_allclose(cand, [x1, x2], rtol=1e-12)
 
     def test_separation_up_to_circle_weighting(self):
         rng = np.random.default_rng(11)

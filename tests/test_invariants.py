@@ -5,6 +5,7 @@ import pytest
 
 from heisenberg_orbits import (
     HeisenbergInvariants,
+    NonGenericInput,
     OrderMismatch,
     act,
     bispectra_distance,
@@ -18,6 +19,7 @@ from heisenberg_orbits import (
     modulus_bispectrum,
     modulus_vector,
     power_invariant,
+    recover_orbit,
     sample_random_signal,
     unitary_bispectrum,
 )
@@ -204,6 +206,17 @@ class TestGenericity:
             for seed in range(100)
         )
         assert hits >= 99
+
+    def test_vanishing_power_sum_fails(self):
+        # both spectra clear the floor, but |power sum| is 1.2e-19, and
+        # recover_orbit rejects the bundle for it: the two rules agree
+        x = 1e-4 * generic_signal(5, 205)
+        report = is_generic(x)
+        assert not report
+        assert report.power_sum_vanishes
+        assert report.modulus_failures == report.fourier_modulus_failures == ()
+        with pytest.raises(NonGenericInput, match="power sum"):
+            recover_orbit(heisenberg_invariants(x))
 
 
 class TestInvariantDistance:

@@ -124,18 +124,6 @@ class TestRecoverOrbit:
         assert report.success
         assert verify_against_truth(report, x, 1e-6)[0]
 
-    def test_phase_fix_ignores_the_genericity_floor(self):
-        # the root is taken of a unit-modulus ratio, so a floor of 1.0 cannot
-        # make it raise ZeroInput mid-search
-        x = 30 * generic_signal(5, 205)
-        report = recover_orbit(
-            heisenberg_invariants(x),
-            PhaseRetrievalConfig(seed=4, max_restarts=4000),
-            ToleranceConfig(genericity_floor=1.0),
-        )
-        assert report.success
-        assert verify_against_truth(report, x, 1e-6)[0]
-
     def test_no_convergence_returns_best_effort_report(self):
         x = generic_signal(6, 802)
         inv = heisenberg_invariants(x)
@@ -252,9 +240,6 @@ class TestStageOneRejects:
         cfg = PhaseRetrievalConfig(seed=24, max_restarts=4000)
         with pytest.raises(NonGenericInput, match="power sum"):
             recover_orbit(inv, cfg)
-        # the bound is the genericity floor
-        with pytest.raises(AssertionError, match="a start ran"):
-            recover_orbit(inv, cfg, ToleranceConfig(genericity_floor=1e-9))
 
 
     @pytest.mark.parametrize(
