@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,21 +51,22 @@ class PhaseRetrievalConfig:
     """Search budget and seeding for the restarted magnitude searches.
 
     retrieve_phase reads every field: each restart runs error_reduction for
-    at most max_iterations projections. recover_orbit reads max_restarts,
-    residual_target and seed, and caps each of its Gauss-Newton starts at
-    newton_magnitude_solve's default.
+    at most max_iterations projections. recover_orbit reads max_restarts
+    and seed, and caps each of its Gauss-Newton starts at
+    newton_magnitude_solve's default. residual_target is a class constant,
+    not a field: both searches accept a start whose magnitude residual is at
+    most it, and newton_magnitude_solve takes it as its default.
     """
+
+    residual_target: ClassVar[float] = 1e-10
 
     max_restarts: int = 50
     max_iterations: int = 2000
-    residual_target: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.max_restarts < 1 or self.max_iterations < 1:
             raise ValueError("restart and iteration counts must be positive")
-        if not self.residual_target > 0:
-            raise ValueError("residual_target must be strictly positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
@@ -231,7 +233,7 @@ def newton_magnitude_solve(
     z_mag,
     initial_phases,
     max_iterations: int = 60,
-    residual_target: float = 1e-10,
+    residual_target: float = PhaseRetrievalConfig.residual_target,
     _forward=None,
 ):
     """Damped Gauss-Newton solve for phases matching the frequency magnitudes.

@@ -6,7 +6,8 @@ convention documented in spectral.py. A recovery report holds the
 candidate, success, one stage_residuals entry per StageResiduals field (a
 not-a-number residual serializes as null) and the diagnostics that
 recover_orbit documents. The experiment spec lives here too, with its
-dataclass.
+dataclass; its one seed drives both the sampled signals and the recovery
+starts, and its pr_config section sets only max_restarts.
 
 Every input is decoded through the same private readers: an integer field is
 a JSON integer (not a bool), and a number field holds finite JSON numbers of
@@ -148,7 +149,7 @@ def weighted_invariants_from_json(obj) -> WeightedCyclicInvariants:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Monte-Carlo run description: dimensions, trial counts, seeds, budgets."""
+    """Monte-Carlo run description: dimensions, trial count, seed, budgets."""
 
     n_values: tuple[int, ...]
     trials: int
@@ -158,9 +159,9 @@ class ExperimentSpec:
 
 
 # The reader of each key an experiment spec section may set; omitted keys take
-# the config defaults, and pr_config's seed defaults to the spec seed.
+# the config defaults.
 _SPEC_SECTIONS = {
-    "pr_config": {"max_restarts": _int, "residual_target": _numbers, "seed": _int},
+    "pr_config": {"max_restarts": _int},
     "tolerances": {"recovery_tol": _numbers},
 }
 
@@ -187,7 +188,7 @@ def experiment_spec_from_json(obj) -> ExperimentSpec:
             n_values=tuple(_int({"n_values": n}, "n_values", where, minimum=2) for n in n_values),
             trials=_int(obj, "trials", where, minimum=1),
             seed=seed,
-            pr_config=PhaseRetrievalConfig(**{"seed": seed, **sections["pr_config"]}),
+            pr_config=PhaseRetrievalConfig(**sections["pr_config"]),
             tolerances=ToleranceConfig(**sections["tolerances"]),
         )
     except ValueError as exc:

@@ -265,6 +265,13 @@ class TestRecoverCommand:
                   "--max-iterations", "5"])
         assert exc.value.code == 2
 
+    def test_residual_target_flag_rejected(self, tmp_path):
+        # the magnitude-fit target is a constant of PhaseRetrievalConfig
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", str(tmp_path / "inv.json"), str(tmp_path / "rec.json"),
+                  "--residual-target", "1e-12"])
+        assert exc.value.code == 2
+
 
 class TestVerifyCommand:
     def test_orbit_member(self, tmp_path, capsys):
@@ -368,7 +375,7 @@ class TestExperimentCommand:
         dump_json(
             {
                 "n_values": [3, 4], "trials": 2, "seed": 5,
-                "pr_config": {"max_restarts": 50, "residual_target": 1e-10, "seed": 5},
+                "pr_config": {"max_restarts": 50},
                 "tolerances": {"recovery_tol": 1e-6},
             },
             explicit_path,
@@ -391,6 +398,25 @@ class TestExperimentCommand:
             "3,summary,,0.0000,,,,,,,,",
         ]
         assert capsys.readouterr().err == "trial n=3 t=0 failed: no consistent start\n"
+
+    def test_false_accept_is_not_a_success(self, tmp_path):
+        # at N = 2 an accepted candidate can lie in another orbit with the same
+        # bundle; such a trial keeps its distance but does not count
+        spec_path = tmp_path / "spec.json"
+        out_path = tmp_path / "out.csv"
+        dump_json(
+            {"n_values": [2], "trials": 10, "seed": 3, "pr_config": {"max_restarts": 200}},
+            spec_path,
+        )
+        assert main(["experiment", str(spec_path), str(out_path)]) == 0
+        with open(out_path, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        data, summary = body[:-1], body[-1]
+        off_orbit = {0, 1, 3, 5, 9}
+        for row in data:
+            assert row[3] == ("0" if int(row[1]) in off_orbit else "1")
+            assert (float(row[4]) > 0.02) == (int(row[1]) in off_orbit)
+        assert summary[3] == "0.5000"
 
     def test_unwritable_output_fails_before_any_trial(self, tmp_path, monkeypatch):
         def no_trial(*args, **kwargs):
@@ -415,9 +441,17 @@ class TestExperimentCommand:
             # spec values are read as typed JSON, never coerced
             {"n_values": [3], "trials": 2.7, "seed": 1, "pr_config": {"max_restarts": True}},
             {"n_values": [3.9], "trials": 1, "seed": "5", "tolerances": {"recovery_tol": "1e-3"}},
+            # spec values must be finite; Python's JSON writer emits NaN and Infinity
+            {**base, "tolerances": {"recovery_tol": float("nan")}},
+            {**base, "tolerances": {"recovery_tol": float("inf")}},
+            {**base, "n_values": []},
+            {**base, "n_values": 3},
             # negative seeds fail at decode, not at the first trial
             {"n_values": [3], "trials": 1, "seed": -1},
+            # the spec seed alone seeds the starts, and their target is fixed
             {**base, "pr_config": {"seed": -5}},
+            {**base, "pr_config": {"seed": 5}},
+            {**base, "pr_config": {"residual_target": 1e-10}},
         ):
             spec_path = tmp_path / "spec.json"
             out_path = tmp_path / "o.csv"

@@ -71,6 +71,13 @@ class TestInvertBispectrum:
         corrupted[3, 2] *= np.exp(0.5j)  # off the consumed row and column
         assert invert_bispectrum(corrupted).residual > 1e-6
 
+    def test_complex_squared_magnitude_rejected(self):
+        # B[k, 0] / V[0] estimates |V[k]|**2, which must be real
+        B = unitary_bispectrum(dft(generic_real_signal(5, 70)))
+        B[1, 0] *= np.exp(0.01j)
+        with pytest.raises(NonGenericInput, match=r"not real at indices \[1\]"):
+            invert_bispectrum(B)
+
     def test_zero_leading_entry(self):
         B = np.zeros((4, 4), dtype=complex)
         with pytest.raises(NonGenericInput):

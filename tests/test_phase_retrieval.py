@@ -1,5 +1,7 @@
 """Magnitude-constraint projections, restarts, and reports."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,13 @@ class TestRetrievePhase:
         # rejected at construction, not by numpy at the first restart
         with pytest.raises(ValueError, match="seed"):
             PhaseRetrievalConfig(seed=-1)
+
+    def test_residual_target_is_fixed(self):
+        # one constant, which the Gauss-Newton solve also takes as its default
+        default = inspect.signature(newton_magnitude_solve).parameters["residual_target"]
+        assert PhaseRetrievalConfig().residual_target == 1e-10 == default.default
+        with pytest.raises(TypeError):
+            PhaseRetrievalConfig(residual_target=1e-12)
 
 
 class TestErrorReductionMonotonicity:

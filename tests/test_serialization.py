@@ -1,5 +1,7 @@
 """JSON round trips and format validation for the shared types."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,9 @@ class TestComplexVector:
             {"n": 2, "re": ["1.5", 2.0], "im": [0.0, 0.0]},
             {"n": 2, "re": [None, 1.0], "im": [0.0, 0.0]},
             {"n": 2, "re": [True, False], "im": [0.0, 0.0]},
+            # Python's JSON reader accepts these literals; the decoder must not
+            json.loads('{"n": 2, "re": [NaN, 1.0], "im": [0.0, 0.0]}'),
+            json.loads('{"n": 2, "re": [1.0, -Infinity], "im": [0.0, 0.0]}'),
         ],
     )
     def test_rejects_malformed(self, obj):
@@ -115,6 +120,12 @@ class TestWeightedInvariants:
     )
     def test_rejects_non_number_values(self, obj):
         with pytest.raises(InputFormatError):
+            weighted_invariants_from_json(obj)
+
+    def test_rejects_negative_weight(self):
+        # the dataclass's ValueError surfaces as a format error
+        obj = {"n": 1, "r": -1.0, "a": [{"re": 1.0, "im": 0.0}]}
+        with pytest.raises(InputFormatError, match="squared modulus"):
             weighted_invariants_from_json(obj)
 
 
