@@ -16,7 +16,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import astuple, replace
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -41,7 +41,7 @@ from .serialization import (
     weighted_invariants_from_json,
     weighted_invariants_to_json,
 )
-from .spectral import DEFAULT_RECOVERY_TOL, ToleranceConfig, sample_random_signal
+from .spectral import DEFAULT_RECOVERY_TOL, sample_random_signal
 
 EXIT_OK = 0
 EXIT_VERIFY_NEGATIVE = 1
@@ -96,8 +96,7 @@ def cmd_invariants(args) -> int:
 def cmd_recover(args) -> int:
     inv = invariants_from_json(load_json(args.input))
     pr_cfg = PhaseRetrievalConfig(max_restarts=args.max_restarts, seed=args.seed)
-    tol = ToleranceConfig(recovery_tol=args.tol)
-    report = recover_orbit(inv, pr_cfg, tol)
+    report = recover_orbit(inv, pr_cfg, args.tol)
     dump_json(recovery_report_to_json(report), args.output)
     return EXIT_OK if report.success else EXIT_NO_CONVERGENCE
 
@@ -127,9 +126,11 @@ def _experiment_row(spec: ExperimentSpec, n: int, trial: int) -> tuple[list, boo
     """
     try:
         x, seed = _sample_generic(n, spec.seed, trial)
-        pr_cfg = replace(spec.pr_config, seed=_derived_seed(spec.seed, n, trial, 7919))
-        report = recover_orbit(heisenberg_invariants(x), pr_cfg, spec.tolerances)
-        in_orbit, dist, _ = verify_against_truth(report, x, spec.tolerances.recovery_tol)
+        pr_cfg = PhaseRetrievalConfig(
+            max_restarts=spec.max_restarts, seed=_derived_seed(spec.seed, n, trial, 7919)
+        )
+        report = recover_orbit(heisenberg_invariants(x), pr_cfg, spec.recovery_tol)
+        in_orbit, dist, _ = verify_against_truth(report, x, spec.recovery_tol)
     except HeisenbergOrbitError as exc:
         print(f"trial n={n} t={trial} failed: {exc}", file=sys.stderr)
         nan = float("nan")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderMismatch
-from .spectral import as_complex_vector
+from .spectral import as_complex_vector, checked_tolerance
 
 __all__ = [
     "GroupElement",
@@ -168,12 +168,10 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
 def within_orbit_tolerance(dist: float, x, tol: float) -> bool:
     """True iff an orbit distance from x is within tol * max(||x||, 1).
 
-    Raises ValueError unless tol is strictly positive, the rule that
-    ToleranceConfig applies to recovery_tol.
+    Raises ValueError unless tol is finite and strictly positive, the rule
+    that checked_tolerance applies to every tolerance.
     """
-    if not tol > 0:
-        raise ValueError(f"orbit tolerance must be strictly positive, got {tol}")
-    return dist <= tol * max(float(np.linalg.norm(as_complex_vector(x))), 1.0)
+    return dist <= checked_tolerance(tol) * max(float(np.linalg.norm(as_complex_vector(x))), 1.0)
 
 
 def orbit_equivalent(x, x2, tol: float) -> bool:

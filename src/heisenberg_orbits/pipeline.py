@@ -60,7 +60,8 @@ from .phase_retrieval import (
 )
 from .spectral import (
     DEFAULT_GENERICITY_FLOOR,
-    ToleranceConfig,
+    DEFAULT_RECOVERY_TOL,
+    checked_tolerance,
     dft,
     dft_matrix,
     max_relative_deviation,
@@ -105,19 +106,19 @@ class OrbitRecoveryReport:
 def recover_orbit(
     inv: HeisenbergInvariants,
     pr_cfg: PhaseRetrievalConfig | None = None,
-    tol: ToleranceConfig | None = None,
+    recovery_tol: float = DEFAULT_RECOVERY_TOL,
 ) -> OrbitRecoveryReport:
     """Reconstruct an orbit element from its invariant bundle.
 
     The magnitude search is a seeded multistart: start r draws its phases
     from seed pr_cfg.seed + r and runs newton_magnitude_solve under its
     default iteration cap. A converged start must pass two screens to be
-    accepted: its power sum is above DEFAULT_GENERICITY_FLOOR in modulus and
-    matches the bundle's within the consistency band, and after the
-    global-phase fix the fully recomputed bundle matches within the recovery
-    tolerance. The first accepted start wins. The phase fix takes the
+    accepted: its power sum matches the bundle's in modulus within the
+    relative band PHASE_RATIO_BAND (so a vanishing one fails), and after the
+    global-phase fix the fully recomputed bundle matches within
+    recovery_tol. The first accepted start wins. The phase fix takes the
     principal N-th root of the unit-modulus ratio mu / |mu|, so it cannot
-    raise whatever the tolerances are.
+    raise whatever the tolerance is.
 
     The report keeps each number once. stage_residuals holds one residual
     per stage (nan for a phase fix that never ran) and success says whether
@@ -141,16 +142,18 @@ def recover_orbit(
     power_rejected and verify_rejected say which screen rejected the
     converged starts, which is how a budget too small for the orbit class
     and a tampered bundle (power sum with the wrong magnitude) surface.
-    Only stage 1 raises, before the first start: the bispectrum inversions
-    (NonGenericInput, NotRealSignal), the energy-balance check on the
-    inverted vectors clipped at 0 (InconsistentMagnitudes),
-    InconsistentInvariants when res_bm or res_bfm exceeds tol.recovery_tol,
-    since every start's bispectra then miss the bundle's in the final match,
+    A recovery_tol that is not finite and strictly positive raises
+    ValueError on entry (checked_tolerance). Otherwise only stage 1 raises,
+    before the first start: the bispectrum inversions (NonGenericInput,
+    NotRealSignal), the energy-balance check on the inverted vectors
+    clipped at 0 (InconsistentMagnitudes), InconsistentInvariants when
+    res_bm or res_bfm exceeds recovery_tol, since every start's bispectra
+    then miss the bundle's in the final match,
     and NonGenericInput when |power_sum| is at or below
     DEFAULT_GENERICITY_FLOOR, since no phase fix then exists.
     """
     pr_cfg = pr_cfg if pr_cfg is not None else PhaseRetrievalConfig()
-    tol = tol if tol is not None else ToleranceConfig()
+    recovery_tol = checked_tolerance(recovery_tol)
 
     # an exact zero of |x_j|**2 or |dft(x)_k|**2 can invert to about -1e-16;
     # the replays judge the clipped vectors that the search uses
@@ -162,10 +165,10 @@ def recover_orbit(
     res_bfm = max_relative_deviation(inv.bfm, unitary_bispectrum(dft(z)))
 
     y, z = check_energy_balance(y, z)
-    if max(res_bm, res_bfm) > tol.recovery_tol:
+    if max(res_bm, res_bfm) > recovery_tol:
         raise InconsistentInvariants(
             f"bispectra differ from those of their inversions by "
-            f"{max(res_bm, res_bfm):.3e}, above the recovery tolerance {tol.recovery_tol:.3e}"
+            f"{max(res_bm, res_bfm):.3e}, above the recovery tolerance {recovery_tol:.3e}"
         )
     if abs(inv.power_sum) <= DEFAULT_GENERICITY_FLOOR:
         raise NonGenericInput(
@@ -192,20 +195,18 @@ def recover_orbit(
             continue
         converged += 1
         base = power_invariant(candidate)
-        if abs(base) <= DEFAULT_GENERICITY_FLOOR:
+        # |ratio| within the band of 1, written so that base = 0 fails too
+        if abs(abs(inv.power_sum) - abs(base)) > PHASE_RATIO_BAND * abs(base):
             power_rejected += 1
             continue
         ratio = inv.power_sum / base
-        if abs(abs(ratio) - 1.0) > PHASE_RATIO_BAND:
-            power_rejected += 1
-            continue
         lam = principal_nth_root(ratio / abs(ratio), n)
         fixed = lam * candidate
         fix_residual = abs(power_invariant(fixed) - inv.power_sum) / max(
             abs(inv.power_sum), 1.0
         )
         match = invariant_distance(heisenberg_invariants(fixed), inv)
-        if match > tol.recovery_tol:
+        if match > recovery_tol:
             verify_rejected += 1
             continue
         accepted, candidate, ratio_modulus = True, fixed, abs(ratio)
@@ -225,7 +226,7 @@ def recover_orbit(
             "verify_rejected": verify_rejected,
         },
         "phase_fix": {"ratio_modulus": ratio_modulus},
-        "verification": {"tolerance": tol.recovery_tol},
+        "verification": {"tolerance": recovery_tol},
     }
     return OrbitRecoveryReport(
         candidate=candidate,

@@ -7,7 +7,8 @@ candidate, success, one stage_residuals entry per StageResiduals field (a
 not-a-number residual serializes as null) and the diagnostics that
 recover_orbit documents. The experiment spec lives here too, with its
 dataclass; its one seed drives both the sampled signals and the recovery
-starts, and its pr_config section sets only max_restarts.
+starts, its pr_config section sets only max_restarts and its tolerances
+section only recovery_tol.
 
 Every input is decoded through the same private readers: an integer field is
 a JSON integer (not a bool), and a number field holds finite JSON numbers of
@@ -19,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -29,7 +31,7 @@ from .group import GroupElement
 from .invariants import HeisenbergInvariants
 from .phase_retrieval import PhaseRetrievalConfig
 from .pipeline import OrbitRecoveryReport
-from .spectral import ToleranceConfig
+from .spectral import DEFAULT_RECOVERY_TOL, checked_tolerance
 
 
 def load_json(path) -> Any:
@@ -149,19 +151,22 @@ def weighted_invariants_from_json(obj) -> WeightedCyclicInvariants:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Monte-Carlo run description: dimensions, trial count, seed, budgets."""
+    """Monte-Carlo run: dimensions, trial count, seed, start budget, tolerance.
+
+    recovery_tol also bounds the orbit distance of a successful trial.
+    """
 
     n_values: tuple[int, ...]
     trials: int
     seed: int
-    pr_config: PhaseRetrievalConfig
-    tolerances: ToleranceConfig
+    max_restarts: int
+    recovery_tol: float
 
 
 # The reader of each key an experiment spec section may set; omitted keys take
-# the config defaults.
+# the recover_orbit defaults.
 _SPEC_SECTIONS = {
-    "pr_config": {"max_restarts": _int},
+    "pr_config": {"max_restarts": partial(_int, minimum=1)},
     "tolerances": {"recovery_tol": _numbers},
 }
 
@@ -172,27 +177,28 @@ def experiment_spec_from_json(obj) -> ExperimentSpec:
     if not isinstance(n_values, list) or not n_values:
         raise InputFormatError(f"{where}: 'n_values' must be a nonempty list")
     seed = _int(obj, "seed", where, minimum=0)
-    sections = {}
+    settings = {}
     for section, readers in _SPEC_SECTIONS.items():
         values = obj.get(section, {})
         if not isinstance(values, dict) or not set(values) <= set(readers):
             raise InputFormatError(
                 f"{where}: {section!r} must be an object with keys among {sorted(readers)}"
             )
-        sections[section] = {
-            key: readers[key](values, key, f"{where} ({section})") for key in values
-        }
-    try:
-        return ExperimentSpec(
-            # each entry is read as the field itself, so errors name n_values
-            n_values=tuple(_int({"n_values": n}, "n_values", where, minimum=2) for n in n_values),
-            trials=_int(obj, "trials", where, minimum=1),
-            seed=seed,
-            pr_config=PhaseRetrievalConfig(**sections["pr_config"]),
-            tolerances=ToleranceConfig(**sections["tolerances"]),
+        settings.update(
+            (key, readers[key](values, key, f"{where} ({section})")) for key in values
         )
+    try:
+        recovery_tol = checked_tolerance(settings.get("recovery_tol", DEFAULT_RECOVERY_TOL))
     except ValueError as exc:
-        raise InputFormatError(f"{where}: {exc}") from exc
+        raise InputFormatError(f"{where} (tolerances): field 'recovery_tol': {exc}") from exc
+    return ExperimentSpec(
+        # each entry is read as the field itself, so errors name n_values
+        n_values=tuple(_int({"n_values": n}, "n_values", where, minimum=2) for n in n_values),
+        trials=_int(obj, "trials", where, minimum=1),
+        seed=seed,
+        max_restarts=settings.get("max_restarts", PhaseRetrievalConfig.max_restarts),
+        recovery_tol=recovery_tol,
+    )
 
 
 def _nan_to_null(value: float):

@@ -8,7 +8,7 @@ this choice, so it must not be changed independently of the file formats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .errors import ZeroInput
 __all__ = [
     "DEFAULT_GENERICITY_FLOOR",
     "DEFAULT_RECOVERY_TOL",
-    "ToleranceConfig",
     "as_complex_vector",
     "as_real_vector",
     "dft",
@@ -33,21 +32,14 @@ DEFAULT_GENERICITY_FLOOR = 1e-8
 DEFAULT_RECOVERY_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """The recovery pipeline's one free tolerance.
+def checked_tolerance(tol) -> float:
+    """tol as a float if finite and strictly positive: the one tolerance rule.
 
-    recovery_tol: how far (max relative deviation) the bundle recomputed
-    from a candidate may lie from the input bundle for the candidate to be
-    accepted; the experiment also checks orbit distances against it.
-    Genericity is judged at DEFAULT_GENERICITY_FLOOR throughout.
+    recover_orbit, the experiment spec and within_orbit_tolerance apply it.
     """
-
-    recovery_tol: float = DEFAULT_RECOVERY_TOL
-
-    def __post_init__(self):
-        if not self.recovery_tol > 0:
-            raise ValueError("recovery_tol must be strictly positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and strictly positive, got {tol}")
+    return float(tol)
 
 
 def vanishing_coefficients(V, floor: float = DEFAULT_GENERICITY_FLOOR) -> np.ndarray:

@@ -308,15 +308,32 @@ class TestVerifyCommand:
         assert main(["verify", str(a), str(b)]) == 2
         assert "dimensions differ: 4 vs 5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-    def test_non_positive_tolerance_rejected(self, tmp_path, capsys, tol):
-        # these printed "equivalent: false", or true at 0 for identical vectors
+    @pytest.mark.parametrize(
+        "command, tol",
+        [
+            pytest.param("verify", "-1", id="-1"),
+            pytest.param("verify", "0", id="0"),
+            pytest.param("verify", "nan", id="nan"),
+            pytest.param("verify", "inf", id="inf"),
+            pytest.param("recover", "inf", id="recover-inf"),
+        ],
+    )
+    def test_non_positive_tolerance_rejected(self, tmp_path, capsys, command, tol):
+        # verify printed "equivalent: false" at -1 and nan, and true at 0 for
+        # identical vectors and at inf for any two; recover searched at inf
         a = tmp_path / "a.json"
-        write_vector(a, generic_signal(4, 8))
-        assert main(["verify", str(a), str(a), "--tol", tol]) == 2
+        rec_path = tmp_path / "rec.json"
+        if command == "verify":
+            write_vector(a, generic_signal(4, 8))
+            files = [str(a), str(a)]
+        else:
+            dump_json(invariants_to_json(heisenberg_invariants(generic_signal(4, 11))), a)
+            files = [str(a), str(rec_path)]
+        assert main([command, *files, "--tol", tol]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "strictly positive" in captured.err
+        assert not rec_path.exists()
 
     def test_oversized_integer_entry(self, tmp_path):
         a = tmp_path / "a.json"
@@ -444,6 +461,10 @@ class TestExperimentCommand:
             # spec values must be finite; Python's JSON writer emits NaN and Infinity
             {**base, "tolerances": {"recovery_tol": float("nan")}},
             {**base, "tolerances": {"recovery_tol": float("inf")}},
+            # budgets and tolerances must be positive
+            {**base, "tolerances": {"recovery_tol": 0}},
+            {**base, "tolerances": {"recovery_tol": -1e-6}},
+            {**base, "pr_config": {"max_restarts": 0}},
             {**base, "n_values": []},
             {**base, "n_values": 3},
             # negative seeds fail at decode, not at the first trial
@@ -479,6 +500,12 @@ class TestDegreeAuditCommand:
         table = {(int(a), int(b)): int(c) for a, b, c in (l.split("\t") for l in lines[1:])}
         assert table[(2, 2)] == 3
         assert table[(3, 3)] == 10
+
+    def test_max_n_below_two_rejected(self, capsys):
+        assert main(["degree-audit", "--max-n", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --max-n must be at least 2\n"
 
 
 class TestCyclicCommand:

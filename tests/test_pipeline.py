@@ -13,7 +13,6 @@ from heisenberg_orbits import (
     NonGenericInput,
     NotRealSignal,
     PhaseRetrievalConfig,
-    ToleranceConfig,
     act,
     dft,
     heisenberg_invariants,
@@ -232,7 +231,14 @@ class TestStageOneRejects:
             recover_orbit(inv, cfg)
         # the bound is the recovery tolerance
         with pytest.raises(AssertionError, match="a start ran"):
-            recover_orbit(inv, cfg, ToleranceConfig(recovery_tol=0.1))
+            recover_orbit(inv, cfg, 0.1)
+
+    @pytest.mark.parametrize("tol", [0.0, math.inf], ids=["zero", "inf"])
+    def test_tolerance_not_finite_and_positive(self, tol):
+        # inf would accept every converged start that passes the power screen
+        inv = heisenberg_invariants(generic_signal(4, 11))
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            recover_orbit(inv, PhaseRetrievalConfig(seed=0, max_restarts=10), tol)
 
     def test_vanishing_power_sum(self):
         inv = heisenberg_invariants(0.05 * generic_signal(6, 5024))
@@ -290,8 +296,7 @@ class TestVerifyAgainstTruth:
 class TestToleranceThreading:
     def test_tight_recovery_tolerance_still_met(self):
         x = generic_signal(4, 217)
-        tol = ToleranceConfig(recovery_tol=1e-9)
-        report = recover_orbit(heisenberg_invariants(x), BIG_BUDGET, tol)
+        report = recover_orbit(heisenberg_invariants(x), BIG_BUDGET, 1e-9)
         assert report.success
         assert report.stage_residuals.invariant_match <= 1e-9
 

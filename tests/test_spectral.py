@@ -1,6 +1,6 @@
 """Transforms, shifts, roots, and sampling."""
 
-import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heisenberg_orbits import (
-    ToleranceConfig,
+    DEFAULT_RECOVERY_TOL,
     ZeroInput,
     cyclic_shift,
     dft,
@@ -19,6 +19,7 @@ from heisenberg_orbits import (
     principal_nth_root,
     sample_random_signal,
 )
+from heisenberg_orbits.spectral import checked_tolerance
 
 
 def kernel_dft(x):
@@ -147,15 +148,16 @@ class TestSampler:
         assert hits >= 99
 
 
-class TestToleranceConfig:
-    def test_defaults(self):
+class TestCheckedTolerance:
+    def test_default(self):
         # the recovery tolerance is the one knob; genericity is a constant
-        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["recovery_tol"]
-        assert ToleranceConfig().recovery_tol == 1e-6
+        assert checked_tolerance(DEFAULT_RECOVERY_TOL) == 1e-6
+        assert type(checked_tolerance(1)) is float
 
     @pytest.mark.parametrize(
-        "kwargs", [{"recovery_tol": 0.0}, {"recovery_tol": -1.0}, {"recovery_tol": float("nan")}]
+        "tol", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
     )
-    def test_rejects_nonpositive(self, kwargs):
-        with pytest.raises(ValueError):
-            ToleranceConfig(**kwargs)
+    def test_rejects(self, tol):
+        # nan and inf would accept any distance
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            checked_tolerance(tol)
