@@ -20,7 +20,6 @@ from .errors import InconsistentInvariants, NonGenericInput
 from .inversion import invert_bispectrum
 from .invariants import unitary_bispectrum
 from .spectral import (
-    DEFAULT_GENERICITY_FLOOR,
     as_complex_vector,
     dft,
     principal_nth_root,
@@ -91,8 +90,9 @@ def recover_weighted(inv: WeightedCyclicInvariants) -> np.ndarray:
     cube of the last coordinate: the ratio a[n-1] / v_n**3 has unit modulus
     for consistent data, and the principal (3n)-th root theta of its phase
     rephases the solution as (theta * v1, theta**2 * v2, ...), landing in
-    the group orbit. A coordinate, the first included, of modulus at or
-    below DEFAULT_GENERICITY_FLOOR raises NonGenericInput.
+    the group orbit. A coordinate at or below the genericity floor (the first
+    included) raises NonGenericInput, and a ratio whose modulus is off 1
+    raises InconsistentInvariants, so no root is taken of a vanishing one.
     """
     n = inv.n
     v = np.zeros(n, dtype=np.complex128)
@@ -100,7 +100,7 @@ def recover_weighted(inv: WeightedCyclicInvariants) -> np.ndarray:
     for k in range(n):
         if k:
             v[k] = np.conj(inv.a[k - 1] / (v[0] * v[k - 1]))
-        if abs(v[k]) <= DEFAULT_GENERICITY_FLOOR:
+        if vanishing_coefficients(v[k]).size:
             raise NonGenericInput(f"coordinate {k + 1} is numerically zero")
     mu = inv.a[n - 1] / v[n - 1] ** 3
     if abs(abs(mu) - 1.0) > CONSISTENCY_TOL:
@@ -117,8 +117,8 @@ def recover_weight12(r1: float, r2: float, a) -> np.ndarray:
 
     This is the circle action with weights 1 and 2; the output is one
     representative, every other solution being (e^{i t} x1, e^{2 i t} x2).
-    A modulus sqrt(r1) or sqrt(r2) at or below DEFAULT_GENERICITY_FLOOR
-    raises NonGenericInput.
+    A modulus sqrt(r1) or sqrt(r2) at or below the genericity floor raises
+    NonGenericInput.
     """
     moduli = np.sqrt(np.maximum((r1, r2), 0.0))
     if vanishing_coefficients(moduli).size:

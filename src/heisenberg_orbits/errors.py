@@ -3,7 +3,6 @@
 __all__ = [
     "HeisenbergOrbitError",
     "OrderMismatch",
-    "ZeroInput",
     "NonGenericInput",
     "NotRealSignal",
     "InconsistentMagnitudes",
@@ -18,10 +17,6 @@ class HeisenbergOrbitError(Exception):
 
 class OrderMismatch(HeisenbergOrbitError):
     """Operands live in groups or spaces of different dimension."""
-
-
-class ZeroInput(HeisenbergOrbitError):
-    """An input that must be bounded away from zero was numerically zero."""
 
 
 class NonGenericInput(HeisenbergOrbitError):

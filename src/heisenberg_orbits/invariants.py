@@ -17,6 +17,7 @@ from .errors import OrderMismatch
 from .spectral import (
     DEFAULT_GENERICITY_FLOOR,
     as_complex_vector,
+    checked_tolerance,
     dft,
     max_relative_deviation,
     vanishing_coefficients,
@@ -46,7 +47,7 @@ class HeisenbergInvariants:
     bfm: bispectrum of the squared-Fourier-modulus vector (N x N complex).
     power_sum: the degree-N power sum of the signal entries.
 
-    Construction raises ValueError on a wrong shape or a non-finite entry.
+    Construction raises ValueError on n < 1, a wrong shape or a non-finite entry.
     """
 
     n: int
@@ -55,8 +56,8 @@ class HeisenbergInvariants:
     power_sum: complex
 
     def __post_init__(self):
-        if self.bm.shape != (self.n, self.n) or self.bfm.shape != (self.n, self.n):
-            raise ValueError("bispectrum matrices must be n x n")
+        if not (self.n >= 1 and self.bm.shape == self.bfm.shape == (self.n, self.n)):
+            raise ValueError("bispectrum matrices must be n x n with n >= 1")
         # a nan would pass every screen's `distance > tol` test unnoticed
         if not all(np.isfinite(v).all() for v in (self.bm, self.bfm, self.power_sum)):
             raise ValueError("bundle entries must be finite")
@@ -134,14 +135,14 @@ def is_generic(x, floor: float = DEFAULT_GENERICITY_FLOOR) -> GenericityReport:
     and squared-Fourier-modulus vectors never vanish, and the phase fix only
     when the power sum does not; the report lists offending indices on each
     side and whether the power sum is at or below the floor. At the default
-    floor this is the rule `recover_orbit` applies to a bundle.
+    floor this is the rule `recover_orbit` applies to a bundle. The floor
+    must pass checked_tolerance, or ValueError is raised.
     """
-    if not floor > 0:
-        raise ValueError("floor must be strictly positive")
+    floor = checked_tolerance(floor)
     x = as_complex_vector(x)
     y_fail = tuple(vanishing_coefficients(dft(modulus_vector(x)), floor).tolist())
     z_fail = tuple(vanishing_coefficients(dft(fourier_modulus_vector(x)), floor).tolist())
-    power_sum_vanishes = abs(power_invariant(x)) <= floor
+    power_sum_vanishes = bool(vanishing_coefficients(power_invariant(x), floor).size)
     return GenericityReport(
         generic=not y_fail and not z_fail and not power_sum_vanishes,
         modulus_failures=y_fail,

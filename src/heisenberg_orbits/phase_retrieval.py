@@ -24,6 +24,7 @@ from .errors import InconsistentMagnitudes, OrderMismatch
 from .spectral import (
     as_complex_vector,
     as_real_vector,
+    checked_tolerance,
     dft,
     dft_matrix,
     max_relative_deviation,
@@ -115,8 +116,10 @@ def check_energy_balance(y_mag, z_mag):
 def magnitudes_match(x, y_mag, z_mag, tol: float) -> bool:
     """True iff |x|**2 matches y_mag and |dft(x)|**2 matches z_mag within tol.
 
-    Deviations are relative with scale max(value, 1), the shared metric.
+    Deviations are relative with scale max(value, 1), the shared metric. A
+    tol that fails checked_tolerance raises ValueError.
     """
+    tol = checked_tolerance(tol)
     x = as_complex_vector(x)
     y, z = _validated_magnitudes(y_mag, z_mag)
     if len(x) != len(y):

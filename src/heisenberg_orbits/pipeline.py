@@ -66,6 +66,7 @@ from .spectral import (
     dft_matrix,
     max_relative_deviation,
     principal_nth_root,
+    vanishing_coefficients,
 )
 
 __all__ = [
@@ -170,7 +171,7 @@ def recover_orbit(
             f"bispectra differ from those of their inversions by "
             f"{max(res_bm, res_bfm):.3e}, above the recovery tolerance {recovery_tol:.3e}"
         )
-    if abs(inv.power_sum) <= DEFAULT_GENERICITY_FLOOR:
+    if vanishing_coefficients(inv.power_sum).size:
         raise NonGenericInput(
             f"power sum {abs(inv.power_sum):.3e} in modulus is at or below the "
             f"genericity floor {DEFAULT_GENERICITY_FLOOR:.3e}"

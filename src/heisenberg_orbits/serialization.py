@@ -7,8 +7,8 @@ candidate, success, one stage_residuals entry per StageResiduals field (a
 not-a-number residual serializes as null) and the diagnostics that
 recover_orbit documents. The experiment spec lives here too, with its
 dataclass; its one seed drives both the sampled signals and the recovery
-starts, its pr_config section sets only max_restarts and its tolerances
-section only recovery_tol.
+starts, its pr_config section sets only max_restarts, its tolerances section
+only recovery_tol, and any other key is an error.
 
 Every input is decoded through the same private readers: an integer field is
 a JSON integer (not a bool), and a number field holds finite JSON numbers of
@@ -176,6 +176,9 @@ def experiment_spec_from_json(obj) -> ExperimentSpec:
     n_values = _field(obj, "n_values", where)
     if not isinstance(n_values, list) or not n_values:
         raise InputFormatError(f"{where}: 'n_values' must be a nonempty list")
+    unknown = set(obj) - {"n_values", "trials", "seed", *_SPEC_SECTIONS}
+    if unknown:
+        raise InputFormatError(f"{where}: unknown keys {sorted(unknown)}")
     seed = _int(obj, "seed", where, minimum=0)
     settings = {}
     for section, readers in _SPEC_SECTIONS.items():

@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-from .errors import ZeroInput
-
 __all__ = [
     "DEFAULT_GENERICITY_FLOOR",
     "DEFAULT_RECOVERY_TOL",
@@ -35,7 +33,7 @@ DEFAULT_RECOVERY_TOL = 1e-6
 def checked_tolerance(tol) -> float:
     """tol as a float if finite and strictly positive: the one tolerance rule.
 
-    recover_orbit, the experiment spec and within_orbit_tolerance apply it.
+    Every tolerance the package takes passes it, and so does is_generic's floor.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and strictly positive, got {tol}")
@@ -45,10 +43,9 @@ def checked_tolerance(tol) -> float:
 def vanishing_coefficients(V, floor: float = DEFAULT_GENERICITY_FLOOR) -> np.ndarray:
     """Indices k with |V[k]| <= floor: the package's one genericity rule.
 
-    A spectrum is generic when this is empty. `is_generic` applies it to the
-    transforms of the squared-modulus and squared-Fourier-modulus vectors,
-    and the bispectrum inversion to the magnitudes it recovers, so the two
-    agree on which spectra vanish.
+    No other code compares a value against the floor: `is_generic`, the
+    bispectrum inversion, `recover_orbit` and the weighted cyclic solvers call
+    this, so they agree on which values vanish.
     """
     return np.flatnonzero(np.abs(V) <= floor)
 
@@ -102,17 +99,15 @@ def cyclic_shift(v, k: int) -> np.ndarray:
 
 
 def principal_nth_root(c, n: int) -> complex:
-    """Return r with r**n = c and arg(r) in [0, 2*pi/n).
+    """Return r with r**n = c and arg(r) in [0, 2*pi/n); r = 0 for c = 0.
 
-    Raises ZeroInput when |c| is at or below DEFAULT_GENERICITY_FLOOR, since
-    the root of a numerically-zero value carries no phase information. The
-    phase fixes take roots of unit-modulus ratios, which never raise.
+    Only n < 1 raises (ValueError). Callers judge c against the genericity
+    floor first: the phase fixes take roots of unit-modulus ratios, after
+    their screens have rejected a vanishing power sum or coordinate.
     """
     c = complex(c)
     if not n >= 1:
         raise ValueError("root order must be a positive integer")
-    if abs(c) <= DEFAULT_GENERICITY_FLOOR:
-        raise ZeroInput(f"cannot take a principal root of near-zero value {c!r}")
     theta = np.angle(c) % (2.0 * np.pi)
     if theta == 2.0 * np.pi:  # an angle in (-4.4e-16, 0) rounds up to 2*pi
         theta = 0.0

@@ -41,7 +41,6 @@ SEARCH_KEYS = {
 PACKAGE_ERROR_EXITS = [
     (errors.InputFormatError, 2),
     (errors.OrderMismatch, 2),
-    (errors.ZeroInput, 3),
     (errors.NonGenericInput, 3),
     (errors.NotRealSignal, 3),
     (errors.InconsistentMagnitudes, 3),
@@ -405,16 +404,23 @@ class TestExperimentCommand:
         def fail(*args, **kwargs):
             raise errors.NonGenericInput("no consistent start")
 
-        monkeypatch.setattr("heisenberg_orbits.cli.recover_orbit", fail)
         spec_path = tmp_path / "spec.json"
         out_path = tmp_path / "out.csv"
         dump_json({"n_values": [3], "trials": 1, "seed": 1}, spec_path)
-        assert main(["experiment", str(spec_path), str(out_path)]) == 0
-        assert out_path.read_text().splitlines()[1:] == [
-            "3,0,,0,nan,,nan,nan,nan,nan,nan,0",
-            "3,summary,,0.0000,,,,,,,,",
-        ]
-        assert capsys.readouterr().err == "trial n=3 t=0 failed: no consistent start\n"
+        for target, replacement, message in (
+            ("recover_orbit", fail, "no consistent start"),
+            # a sampler that never draws a generic vector gives up
+            ("is_generic", lambda x: False,
+             "no generic sample found for n=3, trial=0 after 64 attempts"),
+        ):
+            with monkeypatch.context() as patch:
+                patch.setattr(f"heisenberg_orbits.cli.{target}", replacement)
+                assert main(["experiment", str(spec_path), str(out_path)]) == 0
+            assert out_path.read_text().splitlines()[1:] == [
+                "3,0,,0,nan,,nan,nan,nan,nan,nan,0",
+                "3,summary,,0.0000,,,,,,,,",
+            ]
+            assert capsys.readouterr().err == f"trial n=3 t=0 failed: {message}\n"
 
     def test_false_accept_is_not_a_success(self, tmp_path):
         # at N = 2 an accepted candidate can lie in another orbit with the same
@@ -445,10 +451,13 @@ class TestExperimentCommand:
         out_path = tmp_path / "missing" / "o.csv"
         assert main(["experiment", str(spec_path), str(out_path)]) == 2
 
-    def test_malformed_spec(self, tmp_path):
+    def test_malformed_spec(self, tmp_path, capsys):
         base = {"n_values": [3], "trials": 1, "seed": 1}
         for spec in (
             {"trials": 2},
+            # a misspelled section would otherwise run with the defaults
+            {**base, "tolerance": {"recovery_tol": 1e-3}},
+            {**base, "pr_cfg": {"max_restarts": 5}},
             # max_iterations bounds no stage of recover_orbit
             {**base, "pr_config": {"max_iterations": 5}},
             {**base, "tolerances": {"recovery_tl": 1e-3}},
@@ -479,6 +488,10 @@ class TestExperimentCommand:
             dump_json(spec, spec_path)
             assert main(["experiment", str(spec_path), str(out_path)]) == 2
             assert not out_path.exists()
+            err = capsys.readouterr().err
+            assert err.startswith("error: experiment spec")
+            unknown = set(spec) - {"n_values", "trials", "seed", "pr_config", "tolerances"}
+            assert all(repr(key) in err for key in unknown)
 
 
 class TestDegreeAuditCommand:

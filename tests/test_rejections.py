@@ -14,7 +14,10 @@ from heisenberg_orbits import (
     PhaseRetrievalConfig,
     RecoveryReport,
     StageResiduals,
+    WeightedCyclicInvariants,
+    as_real_vector,
     best_global_phase,
+    cyclic_shift,
     degree_audit,
     dft,
     enumerate_group,
@@ -28,9 +31,25 @@ from heisenberg_orbits import (
 
 X = sample_random_signal(4, 1)
 ONES3 = np.ones(3)
+ONES4 = np.ones(4)
+# a nan or infinite tolerance would accept any distance, and an infinite
+# genericity floor would call every vector non-generic
+BAD_TOLERANCES = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}
 
 REJECTIONS = [
-    pytest.param(is_generic, (X, 0.0), ValueError, "floor", id="is_generic-zero-floor"),
+    *(
+        pytest.param(
+            is_generic, (X, floor), ValueError, "strictly positive", id=f"is_generic-{name}-floor"
+        )
+        for name, floor in BAD_TOLERANCES.items()
+    ),
+    *(
+        pytest.param(
+            magnitudes_match, (X, ONES4, ONES4, tol), ValueError, "strictly positive",
+            id=f"match-{name}-tol",
+        )
+        for name, tol in BAD_TOLERANCES.items()
+    ),
     pytest.param(
         invert_bispectrum, (np.ones((2, 3), complex),), ValueError, "square",
         id="invert-non-square",
@@ -41,6 +60,21 @@ REJECTIONS = [
         ValueError,
         "n x n",
         id="bundle-bm-shape",
+    ),
+    pytest.param(
+        HeisenbergInvariants,
+        (0, np.zeros((0, 0), complex), np.zeros((0, 0), complex), 0j),
+        ValueError,
+        "n >= 1",
+        id="bundle-n-0",
+    ),
+    pytest.param(
+        partial(WeightedCyclicInvariants, n=0, r=1.0, a=()), (), ValueError, "dimension",
+        id="weighted-n-0",
+    ),
+    pytest.param(
+        partial(WeightedCyclicInvariants, n=2, r=1.0, a=(1j,)), (), ValueError, "exactly n",
+        id="weighted-chain-length",
     ),
     pytest.param(degree_audit, (1, 1), ValueError, "order", id="degree_audit-order-1"),
     pytest.param(degree_audit, (3, 0), ValueError, "degree", id="degree_audit-degree-0"),
@@ -53,6 +87,11 @@ REJECTIONS = [
     pytest.param(sample_random_signal, (0, 1), ValueError, "dimension", id="sample-dimension-0"),
     pytest.param(dft, ([],), ValueError, "nonempty", id="dft-empty"),
     pytest.param(dft, ([math.nan],), ValueError, "finite", id="dft-nan"),
+    pytest.param(as_real_vector, ([],), ValueError, "nonempty", id="real-vector-empty"),
+    pytest.param(as_real_vector, ([math.inf],), ValueError, "finite", id="real-vector-inf"),
+    pytest.param(
+        cyclic_shift, (np.ones((2, 2)), 1), ValueError, "one-dimensional", id="shift-matrix"
+    ),
     pytest.param(
         magnitudes_match, (X, ONES3, ONES3, 1e-6), OrderMismatch, "4 vs 3", id="match-lengths"
     ),
