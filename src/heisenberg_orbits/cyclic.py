@@ -44,21 +44,27 @@ class WeightedCyclicInvariants:
     """Invariant chain of the weight-(1..n) action of the order-3n group.
 
     r: squared modulus of the first coordinate.
-    a: n chain values; a[0] = v1**2 * conj(v2), a[k-1] = v1 * vk * conj(v_{k+1})
-       for 2 <= k <= n-1, and a[n-1] = vn**3 (coordinates 1-based).
+    a: n = len(a) chain values; a[0] = v1**2 * conj(v2), a[k-1] = v1 * vk *
+       conj(v_{k+1}) for 2 <= k <= n-1, and a[n-1] = vn**3 (coordinates 1-based).
+
+    Construction raises ValueError on an empty chain, a negative r or a
+    non-finite value.
     """
 
-    n: int
     r: float
     a: tuple[complex, ...]
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("dimension must be a positive integer")
+        if not np.all(np.isfinite((self.r, *self.a))):
+            raise ValueError("chain values must be finite")
         if self.r < 0:
             raise ValueError("r is a squared modulus and cannot be negative")
-        if len(self.a) != self.n:
-            raise ValueError("chain must have exactly n values")
+
+    @property
+    def n(self) -> int:
+        return len(self.a)
 
 
 def apply_weighted_generator(v, power: int = 1) -> np.ndarray:
@@ -77,9 +83,7 @@ def weighted_invariants(v) -> WeightedCyclicInvariants:
     for k in range(1, n):
         a[k - 1] = v[0] * v[k - 1] * np.conj(v[k])
     a[n - 1] = v[n - 1] ** 3
-    return WeightedCyclicInvariants(
-        n=n, r=float(np.abs(v[0]) ** 2), a=tuple(complex(t) for t in a)
-    )
+    return WeightedCyclicInvariants(r=float(np.abs(v[0]) ** 2), a=tuple(complex(t) for t in a))
 
 
 def recover_weighted(inv: WeightedCyclicInvariants) -> np.ndarray:
@@ -117,9 +121,11 @@ def recover_weight12(r1: float, r2: float, a) -> np.ndarray:
 
     This is the circle action with weights 1 and 2; the output is one
     representative, every other solution being (e^{i t} x1, e^{2 i t} x2).
-    A modulus sqrt(r1) or sqrt(r2) at or below the genericity floor raises
-    NonGenericInput.
+    A non-finite value raises ValueError, and a modulus sqrt(r1) or
+    sqrt(r2) at or below the genericity floor raises NonGenericInput.
     """
+    if not np.all(np.isfinite((r1, r2, a))):
+        raise ValueError("r1, r2 and a must be finite")
     moduli = np.sqrt(np.maximum((r1, r2), 0.0))
     if vanishing_coefficients(moduli).size:
         raise NonGenericInput("both coordinates must be nonvanishing")

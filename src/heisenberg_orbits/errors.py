@@ -1,11 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one class per failure cause."""
 
 __all__ = [
     "HeisenbergOrbitError",
     "OrderMismatch",
     "NonGenericInput",
-    "NotRealSignal",
-    "InconsistentMagnitudes",
     "InconsistentInvariants",
     "InputFormatError",
 ]
@@ -23,16 +21,8 @@ class NonGenericInput(HeisenbergOrbitError):
     """Input violates the nonvanishing conditions recovery relies on."""
 
 
-class NotRealSignal(HeisenbergOrbitError):
-    """A bispectrum expected to come from a real vector did not."""
-
-
-class InconsistentMagnitudes(HeisenbergOrbitError):
-    """Magnitude data cannot come from any signal (energy balance broken)."""
-
-
 class InconsistentInvariants(HeisenbergOrbitError):
-    """An invariant bundle is internally inconsistent."""
+    """Data that no signal has: invariants, bispectra or magnitudes."""
 
 
 class InputFormatError(HeisenbergOrbitError):

@@ -46,31 +46,42 @@ class HeisenbergInvariants:
     bm: bispectrum of the squared-modulus vector (N x N complex).
     bfm: bispectrum of the squared-Fourier-modulus vector (N x N complex).
     power_sum: the degree-N power sum of the signal entries.
+    n: the dimension N, read off bm.
 
-    Construction raises ValueError on n < 1, a wrong shape or a non-finite entry.
+    Construction raises ValueError unless bm and bfm are square, nonempty and
+    of one shape, or on a non-finite entry.
     """
 
-    n: int
     bm: np.ndarray
     bfm: np.ndarray
     power_sum: complex
 
     def __post_init__(self):
-        if not (self.n >= 1 and self.bm.shape == self.bfm.shape == (self.n, self.n)):
+        shape = self.bm.shape
+        if not (len(shape) == 2 and shape[0] == shape[1] >= 1 and self.bfm.shape == shape):
             raise ValueError("bispectrum matrices must be n x n with n >= 1")
         # a nan would pass every screen's `distance > tol` test unnoticed
         if not all(np.isfinite(v).all() for v in (self.bm, self.bfm, self.power_sum)):
             raise ValueError("bundle entries must be finite")
 
+    @property
+    def n(self) -> int:
+        return len(self.bm)
+
 
 @dataclass(frozen=True)
 class GenericityReport:
-    """Outcome of the genericity check; truthy iff generic."""
+    """Outcome of the genericity check; generic, and truthy, iff nothing failed."""
 
-    generic: bool
     modulus_failures: tuple[int, ...]
     fourier_modulus_failures: tuple[int, ...]
     power_sum_vanishes: bool
+
+    @property
+    def generic(self) -> bool:
+        return not (
+            self.modulus_failures or self.fourier_modulus_failures or self.power_sum_vanishes
+        )
 
     def __bool__(self) -> bool:
         return self.generic
@@ -121,7 +132,6 @@ def heisenberg_invariants(x) -> HeisenbergInvariants:
     """Compute the full invariant bundle (bm, bfm, power sum) of x."""
     x = as_complex_vector(x)
     return HeisenbergInvariants(
-        n=len(x),
         bm=modulus_bispectrum(x),
         bfm=fourier_modulus_bispectrum(x),
         power_sum=power_invariant(x),
@@ -143,12 +153,7 @@ def is_generic(x, floor: float = DEFAULT_GENERICITY_FLOOR) -> GenericityReport:
     y_fail = tuple(vanishing_coefficients(dft(modulus_vector(x)), floor).tolist())
     z_fail = tuple(vanishing_coefficients(dft(fourier_modulus_vector(x)), floor).tolist())
     power_sum_vanishes = bool(vanishing_coefficients(power_invariant(x), floor).size)
-    return GenericityReport(
-        generic=not y_fail and not z_fail and not power_sum_vanishes,
-        modulus_failures=y_fail,
-        fourier_modulus_failures=z_fail,
-        power_sum_vanishes=power_sum_vanishes,
-    )
+    return GenericityReport(y_fail, z_fail, power_sum_vanishes)
 
 
 def bispectra_distance(a: HeisenbergInvariants, b: HeisenbergInvariants) -> float:

@@ -7,9 +7,9 @@ V for the unknown spectrum:
    V[0] = B[0, 0] / |B[0, 0]|**(2/3); the magnitude and phase are separated
    here on purpose, avoiding the branch ambiguity of a complex cube root.
 2. B[k, 0] = |V[k]|**2 * V[0] gives every magnitude as
-   |V[k]| = sqrt(B[k, 0] / V[0]); each quotient must be real for the input to
-   be a genuine bispectrum, and the magnitudes must pass the genericity rule
-   of `is_generic` (a non-positive quotient counts as a vanishing magnitude).
+   |V[k]| = sqrt(B[k, 0] / V[0]). The magnitudes must pass the genericity rule
+   of `is_generic` (a non-positive quotient counts as a vanishing magnitude),
+   and each quotient must be real, or no spectrum has this bispectrum.
 3. arg B[1, k] = phi_1 + phi_k - phi_{k+1} turns every phase into
    phi_k = k * t + d_k with d_k accumulated from row B[1, .] and t = phi_1
    unknown; the wrap-around constraint phi_N = phi_0 (mod 2*pi) restricts t
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonGenericInput, NotRealSignal
+from .errors import InconsistentInvariants, NonGenericInput
 from .invariants import unitary_bispectrum
 from .spectral import idft, max_relative_deviation, vanishing_coefficients
 
@@ -67,14 +67,17 @@ def invert_bispectrum(B) -> InversionResult:
 
     Raises
     ------
+    ValueError
+        If B is not a nonempty square matrix of finite entries.
     NonGenericInput
         If |V[0]| or any magnitude estimate is at or below
-        DEFAULT_GENERICITY_FLOOR, or a squared-magnitude estimate has an
-        imaginary part above 1e-9 of its modulus.
+        DEFAULT_GENERICITY_FLOOR.
+    InconsistentInvariants
+        If a squared-magnitude estimate is not real within 1e-9 of its modulus.
     """
     B = np.asarray(B, dtype=np.complex128)
-    if B.ndim != 2 or B.shape[0] != B.shape[1] or B.shape[0] == 0:
-        raise ValueError("expected a nonempty square matrix")
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or not B.size or not np.isfinite(B).all():
+        raise ValueError("expected a nonempty square matrix of finite entries")
     n = B.shape[0]
 
     b00 = complex(B[0, 0])
@@ -91,7 +94,7 @@ def invert_bispectrum(B) -> InversionResult:
         )
     not_real = np.flatnonzero(np.abs(power.imag) > _REL_EQ * np.abs(power))
     if not_real.size:
-        raise NonGenericInput(
+        raise InconsistentInvariants(
             f"squared-magnitude estimates are not real at indices {not_real.tolist()}"
         )
 
@@ -122,15 +125,15 @@ def invert_bispectrum(B) -> InversionResult:
 def invert_real_bispectrum(B) -> np.ndarray:
     """Invert the bispectrum of a real vector; returns the real signal.
 
-    Raises NotRealSignal when the recovered signal carries an imaginary
-    residue above 1e-9 * ||signal||, which means the input was not the
-    bispectrum of any real vector. NonGenericInput propagates from the
-    underlying inversion.
+    Raises InconsistentInvariants when the recovered signal carries an
+    imaginary residue above 1e-9 * ||signal||, which means the input was not
+    the bispectrum of any real vector. The errors of invert_bispectrum
+    propagate.
     """
     signal = invert_bispectrum(B).signal
     residue = float(np.max(np.abs(signal.imag)))
     if residue > _REL_EQ * float(np.linalg.norm(signal)):
-        raise NotRealSignal(
+        raise InconsistentInvariants(
             f"imaginary residue {residue:.3e} too large for a real-vector bispectrum"
         )
     return signal.real

@@ -20,10 +20,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import InconsistentMagnitudes, OrderMismatch
+from .errors import InconsistentInvariants, OrderMismatch
 from .spectral import (
     as_complex_vector,
-    as_real_vector,
     checked_tolerance,
     dft,
     dft_matrix,
@@ -74,32 +73,31 @@ class PhaseRetrievalConfig:
 
 @dataclass(frozen=True)
 class RecoveryReport:
-    """Outcome of one retrieval: candidate, residual, and search effort."""
+    """Outcome of one retrieval; success means residual <= residual_target."""
 
     candidate: np.ndarray
     residual: float
     restarts_used: int
-    success: bool
 
-    def __post_init__(self):
-        if self.success and not np.isfinite(self.residual):
-            raise ValueError("successful report must carry a finite residual")
+    @property
+    def success(self) -> bool:
+        return self.residual <= PhaseRetrievalConfig.residual_target
 
 
 def _validated_magnitudes(y_mag, z_mag):
-    y = as_real_vector(y_mag)
-    z = as_real_vector(z_mag)
+    y = as_complex_vector(y_mag, np.float64)
+    z = as_complex_vector(z_mag, np.float64)
     if len(y) != len(z):
         raise OrderMismatch(f"magnitude lengths differ: {len(y)} vs {len(z)}")
     if np.any(y < 0) or np.any(z < 0):
-        raise InconsistentMagnitudes("squared magnitudes must be nonnegative")
+        raise InconsistentInvariants("squared magnitudes must be nonnegative")
     return y, z
 
 
 def check_energy_balance(y_mag, z_mag):
     """Validate magnitude inputs and enforce sum(y) = sum(z)/N.
 
-    Returns the validated pair; raises InconsistentMagnitudes when no signal
+    Returns the validated pair; raises InconsistentInvariants when no signal
     can realize the data.
     """
     y, z = _validated_magnitudes(y_mag, z_mag)
@@ -107,7 +105,7 @@ def check_energy_balance(y_mag, z_mag):
     energy_freq = float(np.sum(z)) / len(y)
     scale = max(energy_time, energy_freq)
     if scale > 0 and abs(energy_time - energy_freq) > ENERGY_BALANCE_TOL * scale:
-        raise InconsistentMagnitudes(
+        raise InconsistentInvariants(
             f"energy balance violated: sum(y)={energy_time:.6e} vs sum(z)/N={energy_freq:.6e}"
         )
     return y, z
@@ -158,7 +156,7 @@ def _project_phases(values, target_mags):
 
 def _validated_start(y_mag, z_mag, initial_phases):
     y, z = _validated_magnitudes(y_mag, z_mag)
-    phases = as_real_vector(initial_phases)
+    phases = as_complex_vector(initial_phases, np.float64)
     if len(phases) != len(y):
         raise OrderMismatch(f"phase count differs from dimension: {len(phases)} vs {len(y)}")
     return y, z, phases
@@ -205,7 +203,7 @@ def error_reduction(
     it at iteration 0 with residual 0.
 
     Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
-    differ and InconsistentMagnitudes on a negative magnitude.
+    differ and InconsistentInvariants on a negative magnitude.
     """
     y, z, phases = _validated_start(y_mag, z_mag, initial_phases)
     n = len(y)
@@ -257,7 +255,7 @@ def newton_magnitude_solve(
     _residual_gate allows that.
 
     Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
-    differ and InconsistentMagnitudes on a negative magnitude.
+    differ and InconsistentInvariants on a negative magnitude.
     """
     y, z, phi = _validated_start(y_mag, z_mag, initial_phases)
     n = len(y)
@@ -323,7 +321,7 @@ def retrieve_phase(y_mag, z_mag, cfg: PhaseRetrievalConfig | None = None) -> Rec
     data determine the signal, e.g. magnitudes of a vector zero-padded to
     length at least 2N-1.
 
-    Raises InconsistentMagnitudes when the energy balance
+    Raises InconsistentInvariants when the energy balance
     sum(y_mag) = (1/N) * sum(z_mag) fails, since then no signal exists.
     """
     cfg = cfg if cfg is not None else PhaseRetrievalConfig()
@@ -336,8 +334,8 @@ def retrieve_phase(y_mag, z_mag, cfg: PhaseRetrievalConfig | None = None) -> Rec
             y, z, phases, cfg.max_iterations, cfg.residual_target
         )
         if residual <= cfg.residual_target:
-            return RecoveryReport(candidate, residual, restart + 1, True)
+            return RecoveryReport(candidate, residual, restart + 1)
         if best is None or residual < best[0]:
             best = (residual, candidate)
     residual, candidate = best
-    return RecoveryReport(candidate, residual, cfg.max_restarts, False)
+    return RecoveryReport(candidate, residual, cfg.max_restarts)

@@ -145,13 +145,13 @@ def recover_orbit(
     and a tampered bundle (power sum with the wrong magnitude) surface.
     A recovery_tol that is not finite and strictly positive raises
     ValueError on entry (checked_tolerance). Otherwise only stage 1 raises,
-    before the first start: the bispectrum inversions (NonGenericInput,
-    NotRealSignal), the energy-balance check on the inverted vectors
-    clipped at 0 (InconsistentMagnitudes), InconsistentInvariants when
-    res_bm or res_bfm exceeds recovery_tol, since every start's bispectra
-    then miss the bundle's in the final match,
-    and NonGenericInput when |power_sum| is at or below
-    DEFAULT_GENERICITY_FLOOR, since no phase fix then exists.
+    before the first start, and with one class per cause. NonGenericInput:
+    a magnitude in a bispectrum inversion, or |power_sum|, is at or below
+    DEFAULT_GENERICITY_FLOOR, so no inversion or phase fix exists.
+    InconsistentInvariants: no signal has the bundle, because a bispectrum
+    is not that of a real vector, the inverted vectors clipped at 0 break
+    the energy balance, or res_bm or res_bfm exceeds recovery_tol (every
+    start's bispectra would then miss the bundle's in the final match).
     """
     pr_cfg = pr_cfg if pr_cfg is not None else PhaseRetrievalConfig()
     recovery_tol = checked_tolerance(recovery_tol)

@@ -128,7 +128,7 @@ def invariants_from_json(obj) -> HeisenbergInvariants:
     bm = _complex(_field(obj, "bm", where), where + " (bm)", (n, n))
     bfm = _complex(_field(obj, "bfm", where), where + " (bfm)", (n, n))
     power = _complex(_field(obj, "iN", where), where + " (iN)")
-    return HeisenbergInvariants(n=n, bm=bm, bfm=bfm, power_sum=power)
+    return HeisenbergInvariants(bm=bm, bfm=bfm, power_sum=power)
 
 
 def weighted_invariants_to_json(inv: WeightedCyclicInvariants) -> dict:
@@ -144,7 +144,7 @@ def weighted_invariants_from_json(obj) -> WeightedCyclicInvariants:
         raise InputFormatError(f"{where}: 'a' must be a list of length {n}")
     chain = tuple(_complex(entry, where + " (a)") for entry in entries)
     try:
-        return WeightedCyclicInvariants(n=n, r=r, a=chain)
+        return WeightedCyclicInvariants(r=r, a=chain)
     except ValueError as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
 

@@ -16,7 +16,6 @@ __all__ = [
     "DEFAULT_GENERICITY_FLOOR",
     "DEFAULT_RECOVERY_TOL",
     "as_complex_vector",
-    "as_real_vector",
     "dft",
     "idft",
     "dft_matrix",
@@ -50,19 +49,9 @@ def vanishing_coefficients(V, floor: float = DEFAULT_GENERICITY_FLOOR) -> np.nda
     return np.flatnonzero(np.abs(V) <= floor)
 
 
-def as_complex_vector(x) -> np.ndarray:
-    """Validate x as a nonempty 1-D vector of finite entries, as complex128."""
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty one-dimensional vector")
-    if not (np.all(np.isfinite(arr.real)) and np.all(np.isfinite(arr.imag))):
-        raise ValueError("vector entries must be finite")
-    return arr
-
-
-def as_real_vector(x) -> np.ndarray:
-    """Validate x as a nonempty 1-D vector of finite entries, as float64."""
-    arr = np.asarray(x, dtype=np.float64)
+def as_complex_vector(x, dtype=np.complex128) -> np.ndarray:
+    """Validate x as a nonempty 1-D vector of finite entries, as dtype (float64 for real data)."""
+    arr = np.asarray(x, dtype=dtype)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("expected a nonempty one-dimensional vector")
     if not np.all(np.isfinite(arr)):

@@ -43,7 +43,7 @@ def inconsistent_bm_bundle():
     bm = inv.bm.copy()
     bm[2, 3] *= 1.1
     bm[3, 2] *= 1.1
-    return HeisenbergInvariants(n=inv.n, bm=bm, bfm=inv.bfm, power_sum=inv.power_sum)
+    return HeisenbergInvariants(bm=bm, bfm=inv.bfm, power_sum=inv.power_sum)
 
 
 def zero_padded(x):

@@ -42,8 +42,6 @@ PACKAGE_ERROR_EXITS = [
     (errors.InputFormatError, 2),
     (errors.OrderMismatch, 2),
     (errors.NonGenericInput, 3),
-    (errors.NotRealSignal, 3),
-    (errors.InconsistentMagnitudes, 3),
     (errors.InconsistentInvariants, 3),
 ]
 

@@ -71,7 +71,7 @@ class TestRecoverWeighted:
     def test_zero_r_rejected(self):
         from heisenberg_orbits import WeightedCyclicInvariants
 
-        inv = WeightedCyclicInvariants(n=2, r=0.0, a=(0j, 1j))
+        inv = WeightedCyclicInvariants(r=0.0, a=(0j, 1j))
         with pytest.raises(NonGenericInput):
             recover_weighted(inv)
 
@@ -98,9 +98,7 @@ class TestRecoverWeighted:
 
         v = generic_weighted_vector(3, 77)
         inv = weighted_invariants(v)
-        tampered = WeightedCyclicInvariants(
-            n=inv.n, r=inv.r, a=inv.a[:-1] + (inv.a[-1] * 1.5,)
-        )
+        tampered = WeightedCyclicInvariants(r=inv.r, a=inv.a[:-1] + (inv.a[-1] * 1.5,))
         with pytest.raises(InconsistentInvariants):
             recover_weighted(tampered)
 

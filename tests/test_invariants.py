@@ -174,7 +174,7 @@ class TestBundle:
         else:
             values[field][2, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            HeisenbergInvariants(n=5, **values)
+            HeisenbergInvariants(**values)
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_degree_homogeneity(self, n):

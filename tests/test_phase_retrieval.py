@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heisenberg_orbits import (
-    InconsistentMagnitudes,
+    InconsistentInvariants,
     OrderMismatch,
     PhaseRetrievalConfig,
     best_global_phase,
@@ -18,7 +18,7 @@ from heisenberg_orbits import (
     retrieve_phase,
     sample_random_signal,
 )
-from heisenberg_orbits.spectral import dft_matrix
+from heisenberg_orbits.spectral import dft_matrix, max_relative_deviation
 
 from helpers import (
     generic_signal,
@@ -111,11 +111,11 @@ class TestRetrievePhase:
         assert not magnitudes_match(report.candidate, y, z, 1e-6)
 
     def test_parseval_violation(self):
-        with pytest.raises(InconsistentMagnitudes):
+        with pytest.raises(InconsistentInvariants):
             retrieve_phase(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
 
     def test_negative_magnitudes_rejected(self):
-        with pytest.raises(InconsistentMagnitudes):
+        with pytest.raises(InconsistentInvariants):
             retrieve_phase(np.array([1.0, -0.5]), np.array([0.5, 0.5]))
 
     def test_success_certificate(self):
@@ -227,7 +227,7 @@ class TestSolverInputValidation:
     def test_negative_magnitude(self, solve, side):
         data = [self.y.copy(), self.z.copy()]
         data[side][1] = -0.5
-        with pytest.raises(InconsistentMagnitudes):
+        with pytest.raises(InconsistentInvariants):
             solve(*data, np.zeros(3))
 
 
@@ -309,6 +309,27 @@ class TestSolversMatchReferenceLoops:
                 found = solve(*args)
                 _assert_same(found, reference(*args))
                 assert found[2] <= 1
+
+    def test_singular_normal_equations_return_the_start(self, monkeypatch):
+        # a LinAlgError from the step solve ends the run after one iteration
+        # with the start iterate and its residual, and raises nothing
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        x = generic_signal(5, 54)
+        y, z = modulus_vector(x), fourier_modulus_vector(x)
+        phases = np.random.default_rng(3).uniform(0, 2 * np.pi, 5)
+        start = np.sqrt(y) * np.exp(1j * phases)
+        start_residual = max(
+            max_relative_deviation(np.abs(start) ** 2, y),
+            max_relative_deviation(np.abs(dft_matrix(5) @ start) ** 2, z),
+        )
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        found = newton_magnitude_solve(y, z, phases)
+        assert found[0].tobytes() == start.tobytes()
+        assert found[1] == start_residual > 1e-10
+        assert found[2] == 1
+        _assert_same(found, reference_newton_magnitude_solve(y, z, phases))
 
     def test_long_projection_run_on_padded_data(self):
         # the c05 budget on data that determine the signal: residuals are

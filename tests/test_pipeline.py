@@ -9,9 +9,7 @@ from heisenberg_orbits import (
     GroupElement,
     HeisenbergInvariants,
     InconsistentInvariants,
-    InconsistentMagnitudes,
     NonGenericInput,
-    NotRealSignal,
     PhaseRetrievalConfig,
     act,
     dft,
@@ -67,9 +65,7 @@ class TestRecoverOrbit:
     def test_magnitude_tampered_power_sum_rejected(self):
         x = generic_signal(5, 207)
         inv = heisenberg_invariants(x)
-        tampered = HeisenbergInvariants(
-            n=inv.n, bm=inv.bm, bfm=inv.bfm, power_sum=1.5 * inv.power_sum
-        )
+        tampered = HeisenbergInvariants(bm=inv.bm, bfm=inv.bfm, power_sum=1.5 * inv.power_sum)
         report = recover_orbit(tampered, PhaseRetrievalConfig(seed=1, max_restarts=60))
         assert_all_converged_rejected(report, restarts=60)
         search = report.diagnostics["phase_retrieval"]
@@ -98,7 +94,7 @@ class TestRecoverOrbit:
         x = generic_signal(5, 208)
         inv = heisenberg_invariants(x)
         tampered = HeisenbergInvariants(
-            n=inv.n, bm=inv.bm, bfm=inv.bfm, power_sum=np.exp(0.5j * np.pi) * inv.power_sum
+            bm=inv.bm, bfm=inv.bfm, power_sum=np.exp(0.5j * np.pi) * inv.power_sum
         )
         report = recover_orbit(tampered, BIG_BUDGET)
         assert report.success
@@ -166,10 +162,8 @@ class TestRecoverOrbit:
         x = sample_random_signal(5, 209)
         bogus = unitary_bispectrum(dft(x))
         inv = heisenberg_invariants(generic_signal(5, 210))
-        broken = HeisenbergInvariants(
-            n=5, bm=bogus, bfm=inv.bfm, power_sum=inv.power_sum
-        )
-        with pytest.raises(NotRealSignal):
+        broken = HeisenbergInvariants(bm=bogus, bfm=inv.bfm, power_sum=inv.power_sum)
+        with pytest.raises(InconsistentInvariants, match="imaginary residue"):
             recover_orbit(broken)
 
     def test_invariant_faithfulness_without_ground_truth(self):
@@ -250,7 +244,7 @@ class TestStageOneRejects:
 
     @pytest.mark.parametrize(
         "clipped_sum, error, message",
-        [(False, InconsistentMagnitudes, "energy balance"),
+        [(False, InconsistentInvariants, "energy balance"),
          (True, InconsistentInvariants, "bispectra differ")],
     )
     def test_clearly_negative_inversion(self, clipped_sum, error, message):
@@ -261,7 +255,7 @@ class TestStageOneRejects:
         y = modulus_vector(generic_signal(4, 11))
         v = np.array([y[0] + (1.0 if clipped_sum else 2.0) * y[1], -y[1], y[2], y[3]])
         bad = HeisenbergInvariants(
-            n=4, bm=unitary_bispectrum(dft(v)), bfm=inv.bfm, power_sum=inv.power_sum
+            bm=unitary_bispectrum(dft(v)), bfm=inv.bfm, power_sum=inv.power_sum
         )
         with pytest.raises(error, match=message):
             recover_orbit(bad)
