@@ -121,12 +121,18 @@ def recover_weight12(r1: float, r2: float, a) -> np.ndarray:
 
     This is the circle action with weights 1 and 2; the output is one
     representative, every other solution being (e^{i t} x1, e^{2 i t} x2).
-    A non-finite value raises ValueError, and a modulus sqrt(r1) or
-    sqrt(r2) at or below the genericity floor raises NonGenericInput.
+    A non-finite value raises ValueError, a negative r1 or r2 (a squared
+    modulus no signal has) raises InconsistentInvariants, and a modulus
+    sqrt(r1) or sqrt(r2) at or below the genericity floor raises
+    NonGenericInput.
     """
     if not np.all(np.isfinite((r1, r2, a))):
         raise ValueError("r1, r2 and a must be finite")
-    moduli = np.sqrt(np.maximum((r1, r2), 0.0))
+    if r1 < 0 or r2 < 0:
+        raise InconsistentInvariants(
+            f"squared moduli must be nonnegative, got r1 = {r1}, r2 = {r2}"
+        )
+    moduli = np.sqrt((r1, r2))
     if vanishing_coefficients(moduli).size:
         raise NonGenericInput("both coordinates must be nonvanishing")
     a = complex(a)

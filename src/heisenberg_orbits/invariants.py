@@ -99,7 +99,7 @@ def fourier_modulus_vector(x) -> np.ndarray:
 
 
 def unitary_bispectrum(V) -> np.ndarray:
-    """B[i, j] = V[i] * V[j] * conj(V[(i + j) mod N]).
+    """B[i, j] = V[i] * V[j] * conj(V[(i + j) mod N]), exactly symmetric.
 
     For V the transform of a real vector this equals
     V[i] * V[j] * V[(N - i - j) mod N] entrywise, by conjugate symmetry,
@@ -109,7 +109,10 @@ def unitary_bispectrum(V) -> np.ndarray:
     n = len(V)
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    return V[i] * V[j] * np.conj(V[(i + j) % n])
+    # numpy's complex product is not bitwise commutative: B[i, j] = B[j, i]
+    # holds bit for bit only when both take the pair product formed for i <= j
+    pairs = V[i] * V[j]
+    return np.where(i <= j, pairs, pairs.T) * np.conj(V[(i + j) % n])
 
 
 def modulus_bispectrum(x) -> np.ndarray:
@@ -124,17 +127,26 @@ def fourier_modulus_bispectrum(x) -> np.ndarray:
 
 def power_invariant(x) -> complex:
     """Degree-N power sum: sum_j x[j]**N for x in C^N."""
-    x = as_complex_vector(x)
+    return _power_sum(as_complex_vector(x))
+
+
+def _power_sum(x: np.ndarray) -> complex:
     return complex(np.sum(x ** len(x)))
+
+
+def _spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Transforms of the squared-modulus and squared-Fourier-modulus vectors of a validated x."""
+    return dft(np.abs(x) ** 2), dft(np.abs(np.fft.fft(x)) ** 2)
 
 
 def heisenberg_invariants(x) -> HeisenbergInvariants:
     """Compute the full invariant bundle (bm, bfm, power sum) of x."""
     x = as_complex_vector(x)
+    y_hat, z_hat = _spectra(x)
     return HeisenbergInvariants(
-        bm=modulus_bispectrum(x),
-        bfm=fourier_modulus_bispectrum(x),
-        power_sum=power_invariant(x),
+        bm=unitary_bispectrum(y_hat),
+        bfm=unitary_bispectrum(z_hat),
+        power_sum=_power_sum(x),
     )
 
 
@@ -150,9 +162,10 @@ def is_generic(x, floor: float = DEFAULT_GENERICITY_FLOOR) -> GenericityReport:
     """
     floor = checked_tolerance(floor)
     x = as_complex_vector(x)
-    y_fail = tuple(vanishing_coefficients(dft(modulus_vector(x)), floor).tolist())
-    z_fail = tuple(vanishing_coefficients(dft(fourier_modulus_vector(x)), floor).tolist())
-    power_sum_vanishes = bool(vanishing_coefficients(power_invariant(x), floor).size)
+    y_hat, z_hat = _spectra(x)
+    y_fail = tuple(vanishing_coefficients(y_hat, floor).tolist())
+    z_fail = tuple(vanishing_coefficients(z_hat, floor).tolist())
+    power_sum_vanishes = bool(vanishing_coefficients(_power_sum(x), floor).size)
     return GenericityReport(y_fail, z_fail, power_sum_vanishes)
 
 

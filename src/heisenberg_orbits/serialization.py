@@ -1,8 +1,10 @@
 """JSON encodings of every file the command line reads or writes.
 
-Complex vectors: {"n": N, "re": [...], "im": [...]}. Complex matrices split
-the same way with nested lists. All values assume the package-wide transform
-convention documented in spectral.py. A recovery report holds the
+Complex vectors: {"n": N, "re": [...], "im": [...]}. The bispectra bm and bfm
+are symmetric, so a bundle stores each as its upper triangle: N(N+1)/2
+entries B[i, j], i <= j, row by row (the order of numpy.triu_indices), split
+the same way. All values assume the package-wide transform convention
+documented in spectral.py. A recovery report holds the
 candidate, success, one stage_residuals entry per StageResiduals field (a
 not-a-number residual serializes as null) and the diagnostics that
 recover_orbit documents. The experiment spec lives here too, with its
@@ -69,9 +71,9 @@ def _int(obj, key, where, minimum=None) -> int:
 def _numbers(obj, key, where, shape=()):
     """Finite JSON numbers of exactly `shape`, as float64.
 
-    `()` is one number (returned as a float), `(n,)` a vector and `(n, n)` a
-    matrix. Strings and bools fail the numeric-dtype check; so do null and
-    integers too large for a float.
+    `()` is one number (returned as a float) and `(n,)` a vector. Strings
+    and bools fail the numeric-dtype check; so do null and integers too
+    large for a float.
     """
     value = _field(obj, key, where)
     try:
@@ -113,11 +115,33 @@ def group_element_to_json(g: GroupElement) -> dict:
     return {"N": g.order, "k": g.k, "n": g.n, "m": g.m}
 
 
+def _upper(n: int) -> np.ndarray:
+    """Mask of the entries i <= j of an n x n matrix; it selects them row by row."""
+    return ~np.tri(n, k=-1, dtype=bool)
+
+
+def _upper_triangle_to_json(matrix, name) -> dict:
+    """The entries i <= j of a symmetric matrix; ValueError if it is not one."""
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError(f"{name} is not symmetric, so its upper triangle would lose entries")
+    return _complex_to_json(matrix[_upper(len(matrix))])
+
+
+def _upper_triangle(obj, n, where) -> np.ndarray:
+    """The symmetric n x n matrix whose upper triangle obj stores."""
+    packed = _complex(obj, where + ", upper triangle", (n * (n + 1) // 2,))
+    upper = _upper(n)
+    matrix = np.empty((n, n), dtype=np.complex128)
+    matrix[upper] = packed
+    matrix.T[upper] = packed
+    return matrix
+
+
 def invariants_to_json(inv: HeisenbergInvariants) -> dict:
     return {
         "n": inv.n,
-        "bm": _complex_to_json(inv.bm),
-        "bfm": _complex_to_json(inv.bfm),
+        "bm": _upper_triangle_to_json(inv.bm, "bm"),
+        "bfm": _upper_triangle_to_json(inv.bfm, "bfm"),
         "iN": _complex_to_json(inv.power_sum),
     }
 
@@ -125,8 +149,8 @@ def invariants_to_json(inv: HeisenbergInvariants) -> dict:
 def invariants_from_json(obj) -> HeisenbergInvariants:
     where = "invariant bundle"
     n = _int(obj, "n", where, minimum=1)
-    bm = _complex(_field(obj, "bm", where), where + " (bm)", (n, n))
-    bfm = _complex(_field(obj, "bfm", where), where + " (bfm)", (n, n))
+    bm = _upper_triangle(_field(obj, "bm", where), n, where + " (bm)")
+    bfm = _upper_triangle(_field(obj, "bfm", where), n, where + " (bfm)")
     power = _complex(_field(obj, "iN", where), where + " (iN)")
     return HeisenbergInvariants(bm=bm, bfm=bfm, power_sum=power)
 

@@ -179,17 +179,27 @@ class TestRecoverCommand:
         assert search["power_rejected"] == search["converged_starts"]
 
     def test_complex_bispectrum_rejected(self, tmp_path):
-        from heisenberg_orbits import dft, unitary_bispectrum
+        from heisenberg_orbits import HeisenbergInvariants, dft, unitary_bispectrum
 
-        x = generic_signal(5, 6)
-        inv = heisenberg_invariants(x)
-        obj = invariants_to_json(inv)
+        inv = heisenberg_invariants(generic_signal(5, 6))
+        # the bispectrum of a complex vector, stored as its upper triangle
         bogus = unitary_bispectrum(dft(sample_random_signal(5, 7)))
-        obj["bm"]["re"] = [[float(v) for v in row] for row in bogus.real]
-        obj["bm"]["im"] = [[float(v) for v in row] for row in bogus.imag]
+        obj = invariants_to_json(HeisenbergInvariants(bogus, inv.bfm, inv.power_sum))
         inv_path = tmp_path / "inv.json"
         dump_json(obj, inv_path)
         assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 3
+
+    def test_full_layout_bundle_rejected(self, tmp_path, capsys):
+        # a bundle written with the whole N x N matrices is an input error
+        inv = heisenberg_invariants(generic_signal(5, 6))
+        obj = invariants_to_json(inv)
+        for field in ("bm", "bfm"):
+            matrix = getattr(inv, field)
+            obj[field] = {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
+        inv_path = tmp_path / "inv.json"
+        dump_json(obj, inv_path)
+        assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 2
+        assert "shape (15,)" in capsys.readouterr().err
 
     def test_malformed_bundle(self, tmp_path):
         inv_path = tmp_path / "inv.json"

@@ -114,6 +114,15 @@ class TestRecoverWeight12:
         with pytest.raises(NonGenericInput):
             recover_weight12(0.0, 1.0, 0.0)
 
+    def test_negative_squared_modulus_is_inconsistent(self):
+        # no signal has a negative squared modulus; a zero one is non-generic
+        with pytest.raises(InconsistentInvariants, match="nonnegative"):
+            recover_weight12(-1.0, 1.0, 1j)
+        with pytest.raises(InconsistentInvariants, match="nonnegative"):
+            recover_weight12(1.0, -1e-300, 1j)
+        with pytest.raises(NonGenericInput):
+            recover_weight12(0.0, 1.0, 0j)
+
     def test_inconsistent_data_rejected(self):
         with pytest.raises(InconsistentInvariants):
             recover_weight12(1.0, 4.0, 3.0)

@@ -80,6 +80,32 @@ class TestUnitaryBispectrum:
         B = unitary_bispectrum(dft(y))
         np.testing.assert_allclose(B, B.T, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("scale", [2.0 ** e for e in range(-2, 3)])
+    def test_exactly_symmetric(self, scale):
+        # the bundle stores the upper triangle only, so B[i, j] = B[j, i]
+        # must hold bit for bit, for complex and real-transform spectra alike
+        rng = np.random.default_rng(int(4 * scale))
+        for n in range(1, 65):
+            for V in (
+                scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n)),
+                scale * dft(rng.standard_normal(n)),
+            ):
+                B = unitary_bispectrum(V)
+                assert np.array_equal(B, B.T), n
+
+    def test_upper_triangle_is_the_formula(self):
+        # entries i <= j are V[i] * V[j] * conj(V[i + j]) as written, bit for bit
+        for n in range(1, 65):
+            x = sample_random_signal(n, 300 + n)
+            inv = heisenberg_invariants(x)
+            i = np.arange(n)[:, None]
+            j = np.arange(n)[None, :]
+            upper = np.triu_indices(n)
+            spectra = (dft(modulus_vector(x)), dft(fourier_modulus_vector(x)))
+            for B, V in zip((inv.bm, inv.bfm), spectra):
+                formula = V[i] * V[j] * np.conj(V[(i + j) % n])
+                assert np.array_equal(B[upper].view(np.int64), formula[upper].view(np.int64)), n
+
 
 class TestModulusBispectrum:
     def test_worked_entry(self):
@@ -206,6 +232,23 @@ class TestGenericity:
             for seed in range(100)
         )
         assert hits >= 99
+
+    def test_verdict_composes_the_public_functions(self):
+        # is_generic reads x once; its verdict is the one the three public
+        # features give, on generic and non-generic vectors alike
+        rng = np.random.default_rng(17)
+        signals = [sample_random_signal(n, 40 + n) for n in range(1, 33)]
+        signals += [np.ones(4), np.array([1, 0, 0, 0]), 1e-4 * generic_signal(5, 205)]
+        signals += [np.round(rng.standard_normal(n)) for n in range(1, 33)]
+        for x in signals:
+            report = is_generic(x)
+            assert report.modulus_failures == tuple(
+                np.flatnonzero(np.abs(dft(modulus_vector(x))) <= 1e-8).tolist()
+            )
+            assert report.fourier_modulus_failures == tuple(
+                np.flatnonzero(np.abs(dft(fourier_modulus_vector(x))) <= 1e-8).tolist()
+            )
+            assert report.power_sum_vanishes == (abs(power_invariant(x)) <= 1e-8)
 
     def test_vanishing_power_sum_fails(self):
         # both spectra clear the floor, but |power sum| is 1.2e-19, and

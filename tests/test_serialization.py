@@ -7,6 +7,7 @@ import pytest
 
 from heisenberg_orbits import (
     GroupElement,
+    HeisenbergInvariants,
     InputFormatError,
     heisenberg_invariants,
     sample_random_signal,
@@ -78,10 +79,37 @@ class TestInvariantBundle:
         assert back.power_sum == inv.power_sum
 
     def test_schema_keys(self):
-        obj = invariants_to_json(heisenberg_invariants(sample_random_signal(3, 4)))
+        inv = heisenberg_invariants(sample_random_signal(3, 4))
+        obj = invariants_to_json(inv)
         assert set(obj) == {"n", "bm", "bfm", "iN"}
         assert set(obj["iN"]) == {"re", "im"}
-        assert len(obj["bm"]["re"]) == 3
+        # the upper triangle, row by row: 3 * 4 / 2 entries
+        assert obj["bm"]["re"] == inv.bm.real[np.triu_indices(3)].tolist()
+        assert obj["bfm"]["im"] == inv.bfm.imag[np.triu_indices(3)].tolist()
+        assert len(obj["bm"]["re"]) == 6
+
+    def test_packed_round_trip_is_exact(self):
+        for n in range(1, 65):
+            inv = heisenberg_invariants(sample_random_signal(n, 700 + n))
+            back = invariants_from_json(json.loads(json.dumps(invariants_to_json(inv))))
+            assert np.array_equal(back.bm, inv.bm) and np.array_equal(back.bfm, inv.bfm), n
+            assert back.power_sum == inv.power_sum
+
+    def test_full_layout_rejected(self):
+        inv = heisenberg_invariants(sample_random_signal(3, 4))
+        obj = invariants_to_json(inv)
+        obj["bm"] = {"re": inv.bm.real.tolist(), "im": inv.bm.imag.tolist()}
+        with pytest.raises(InputFormatError, match=r"upper triangle.*shape \(6,\)"):
+            invariants_from_json(obj)
+
+    @pytest.mark.parametrize("field", ["bm", "bfm"])
+    def test_asymmetric_matrix_not_written(self, field):
+        inv = heisenberg_invariants(sample_random_signal(3, 4))
+        matrix = getattr(inv, field).copy()
+        matrix[2, 1] *= 1.5
+        bad = HeisenbergInvariants(**{**vars(inv), field: matrix})
+        with pytest.raises(ValueError, match=f"{field} is not symmetric"):
+            invariants_to_json(bad)
 
     def test_rejects_ragged_matrix(self):
         inv = heisenberg_invariants(sample_random_signal(3, 4))
