@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification negative, 2 input or format error,
-3 any other package error (non-generic, degenerate or inconsistent input,
-such as a bundle that no recovery start could pass, rejected before any
-search), 4 a recovery search that accepted no start, whose report is still
-written. All randomness flows from explicit seeds; outputs are
-byte-identical across repeated runs unless --timing is requested. An
-experiment trial counts as a success only when its recovery accepted a
-candidate and the orbit oracle places it in the sampled truth's orbit.
+Exit codes: 0 success, 1 verification negative, 2 input or format error (a
+ValueError too, such as an integer or tolerance argument out of range), 3
+non-generic input, 4 a recovery search that accepted no start, whose report
+is still written, 5 inconsistent data that no signal has. All randomness
+flows from explicit seeds; outputs are byte-identical across repeated runs
+unless --timing is requested. An experiment trial counts as a success only
+when its recovery accepted a candidate and the orbit oracle places it in
+the sampled truth's orbit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import HeisenbergOrbitError, InputFormatError, NonGenericInput, OrderMismatch
+from .errors import (HeisenbergOrbitError, InconsistentInvariants, InputFormatError,
+                     NonGenericInput, OrderMismatch)
 from .cyclic import degree_audit, recover_cyclic_orbit, recover_weighted, weighted_invariants
 from .group import orbit_distance, within_orbit_tolerance
 from .invariants import heisenberg_invariants, is_generic
@@ -41,13 +42,14 @@ from .serialization import (
     weighted_invariants_from_json,
     weighted_invariants_to_json,
 )
-from .spectral import DEFAULT_RECOVERY_TOL, sample_random_signal
+from .spectral import DEFAULT_RECOVERY_TOL, checked_integer, sample_random_signal
 
 EXIT_OK = 0
 EXIT_VERIFY_NEGATIVE = 1
 EXIT_INPUT_ERROR = 2
 EXIT_DEGENERATE = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_INCONSISTENT = 5
 
 CSV_HEADER = [
     "n", "trial", "seed", "success", "orbit_distance", "restarts_used",
@@ -167,12 +169,11 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_degree_audit(args) -> int:
-    if args.max_n < 2:
-        raise InputFormatError("--max-n must be at least 2")
+    max_n = checked_integer(args.max_n, 2, "--max-n")
     print("N\td\tcount")
-    for order in range(2, args.max_n + 1):
-        top = order + 1 if args.include_boundary else order
-        for degree in range(1, top):
+    for order in range(2, max_n + 1):
+        # every block ends with d = N, the first degree whose count is nonzero
+        for degree in range(1, order + 1):
             print(f"{order}\t{degree}\t{degree_audit(order, degree)}")
     return EXIT_OK
 
@@ -221,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("degree-audit", help="count weight-zero monomials by degree")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--include-boundary", action="store_true",
-                   help="also print the degree = N column")
     p.set_defaults(func=cmd_degree_audit)
 
     p = sub.add_parser("cyclic", help="cyclic-group invariants and recovery")
@@ -251,6 +250,9 @@ def main(argv=None) -> int:
     except (InputFormatError, OrderMismatch, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except InconsistentInvariants as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except HeisenbergOrbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -21,6 +21,7 @@ from .inversion import invert_bispectrum
 from .invariants import unitary_bispectrum
 from .spectral import (
     as_complex_vector,
+    checked_integer,
     dft,
     principal_nth_root,
     vanishing_coefficients,
@@ -55,8 +56,7 @@ class WeightedCyclicInvariants:
     a: tuple[complex, ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("dimension must be a positive integer")
+        checked_integer(self.n, 1, "dimension")
         if not np.all(np.isfinite((self.r, *self.a))):
             raise ValueError("chain values must be finite")
         if self.r < 0:
@@ -69,6 +69,7 @@ class WeightedCyclicInvariants:
 
 def apply_weighted_generator(v, power: int = 1) -> np.ndarray:
     """Generator action: coordinate j (1-based) gains phase zeta**(power*j)."""
+    power = checked_integer(power, name="power")
     v = as_complex_vector(v)
     n = len(v)
     weights = np.arange(1, n + 1)
@@ -167,9 +168,8 @@ def degree_audit(order: int, degree: int) -> int:
     the Heisenberg action has no low-degree invariant polynomials. Every
     exponent vector of a degree-d monomial sums to d, so the test depends on
     the degree alone: either all C(d + N - 1, N - 1) monomials pass or none.
+    Raises ValueError unless order >= 2 and degree >= 1 are integers.
     """
-    if order < 2:
-        raise ValueError("group order must be at least 2")
-    if degree < 1:
-        raise ValueError("degree must be at least 1")
+    order = checked_integer(order, 2, "group order")
+    degree = checked_integer(degree, 1, "degree")
     return math.comb(degree + order - 1, order - 1) if degree % order == 0 else 0

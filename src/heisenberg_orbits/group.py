@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderMismatch
-from .spectral import as_complex_vector, checked_tolerance
+from .spectral import as_complex_vector, checked_integer, checked_tolerance
 
 __all__ = [
     "GroupElement",
@@ -30,7 +30,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GroupElement:
-    """One element (k, n, m) of H_N; indices are normalized into [0, N)."""
+    """One element (k, n, m) of H_N, as Python ints; indices normalized into [0, N)."""
 
     order: int
     k: int
@@ -38,11 +38,10 @@ class GroupElement:
     m: int
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("group order must be a positive integer")
-        object.__setattr__(self, "k", int(self.k) % self.order)
-        object.__setattr__(self, "n", int(self.n) % self.order)
-        object.__setattr__(self, "m", int(self.m) % self.order)
+        order = checked_integer(self.order, 1, "group order")
+        object.__setattr__(self, "order", order)
+        for name in ("k", "n", "m"):
+            object.__setattr__(self, name, checked_integer(getattr(self, name), name=name) % order)
 
 
 def identity(order: int) -> GroupElement:
@@ -77,8 +76,7 @@ def act(g: GroupElement, x) -> np.ndarray:
 
 def enumerate_group(order: int) -> list[GroupElement]:
     """All order**3 elements exactly once, lexicographic in (k, n, m)."""
-    if order < 1:
-        raise ValueError("group order must be a positive integer")
+    order = checked_integer(order, 1, "group order")
     return [
         GroupElement(order, k, n, m)
         for k in range(order)

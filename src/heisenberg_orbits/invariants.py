@@ -89,8 +89,7 @@ class GenericityReport:
 
 def modulus_vector(x) -> np.ndarray:
     """Squared moduli y[j] = |x[j]|**2."""
-    x = as_complex_vector(x)
-    return np.abs(x) ** 2
+    return np.abs(as_complex_vector(x)) ** 2
 
 
 def fourier_modulus_vector(x) -> np.ndarray:
@@ -181,9 +180,5 @@ def bispectra_distance(a: HeisenbergInvariants, b: HeisenbergInvariants) -> floa
 
 def invariant_distance(a: HeisenbergInvariants, b: HeisenbergInvariants) -> float:
     """Max relative deviation across bm, bfm and the power sum."""
-    return max(
-        bispectra_distance(a, b),
-        max_relative_deviation(
-            np.asarray([a.power_sum]), np.asarray([b.power_sum])
-        ),
-    )
+    power = max_relative_deviation(np.asarray([a.power_sum]), np.asarray([b.power_sum]))
+    return max(bispectra_distance(a, b), power)

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InconsistentInvariants, OrderMismatch
 from .spectral import (
     as_complex_vector,
+    checked_integer,
     checked_tolerance,
     dft,
     dft_matrix,
@@ -56,6 +57,8 @@ class PhaseRetrievalConfig:
     newton_magnitude_solve's default. residual_target is a class constant,
     not a field: both searches accept a start whose magnitude residual is at
     most it, and newton_magnitude_solve takes it as its default.
+
+    Each field is an integer, else ValueError: max_restarts, max_iterations >= 1, seed >= 0.
     """
 
     residual_target: ClassVar[float] = 1e-10
@@ -65,10 +68,8 @@ class PhaseRetrievalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_restarts < 1 or self.max_iterations < 1:
-            raise ValueError("restart and iteration counts must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
+        for name, minimum in (("max_restarts", 1), ("max_iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, checked_integer(getattr(self, name), minimum, name))
 
 
 @dataclass(frozen=True)
@@ -154,12 +155,12 @@ def _project_phases(values, target_mags):
     return target_mags * np.divide(values, mags, out=np.ones_like(values), where=mags > 0)
 
 
-def _validated_start(y_mag, z_mag, initial_phases):
+def _validated_start(y_mag, z_mag, initial_phases, max_iterations):
     y, z = _validated_magnitudes(y_mag, z_mag)
     phases = as_complex_vector(initial_phases, np.float64)
     if len(phases) != len(y):
         raise OrderMismatch(f"phase count differs from dimension: {len(phases)} vs {len(y)}")
-    return y, z, phases
+    return y, z, phases, checked_integer(max_iterations, 0, "max_iterations")
 
 
 def _norm(v) -> float:
@@ -203,9 +204,10 @@ def error_reduction(
     it at iteration 0 with residual 0.
 
     Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
-    differ and InconsistentInvariants on a negative magnitude.
+    differ, InconsistentInvariants on a negative magnitude, and ValueError
+    unless max_iterations is an integer of at least 0.
     """
-    y, z, phases = _validated_start(y_mag, z_mag, initial_phases)
+    y, z, phases, max_iterations = _validated_start(y_mag, z_mag, initial_phases, max_iterations)
     n = len(y)
     forward = dft_matrix(n)
     backward = np.conj(forward) / n
@@ -255,9 +257,10 @@ def newton_magnitude_solve(
     _residual_gate allows that.
 
     Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
-    differ and InconsistentInvariants on a negative magnitude.
+    differ, InconsistentInvariants on a negative magnitude, and ValueError
+    unless max_iterations is an integer of at least 0.
     """
-    y, z, phi = _validated_start(y_mag, z_mag, initial_phases)
+    y, z, phi, max_iterations = _validated_start(y_mag, z_mag, initial_phases, max_iterations)
     n = len(y)
     forward = dft_matrix(n) if _forward is None else _forward
     sqrt_y = np.sqrt(y)

@@ -158,11 +158,9 @@ def recover_orbit(
 
     # an exact zero of |x_j|**2 or |dft(x)_k|**2 can invert to about -1e-16;
     # the replays judge the clipped vectors that the search uses
-    y = invert_real_bispectrum(inv.bm)
-    y = np.maximum(y, 0.0)
+    y = np.maximum(invert_real_bispectrum(inv.bm), 0.0)
     res_bm = max_relative_deviation(inv.bm, unitary_bispectrum(dft(y)))
-    z = invert_real_bispectrum(inv.bfm)
-    z = np.maximum(z, 0.0)
+    z = np.maximum(invert_real_bispectrum(inv.bfm), 0.0)
     res_bfm = max_relative_deviation(inv.bfm, unitary_bispectrum(dft(z)))
 
     y, z = check_energy_balance(y, z)
@@ -184,11 +182,7 @@ def recover_orbit(
         rng = np.random.default_rng(pr_cfg.seed + start)
         phases = rng.uniform(0.0, 2.0 * np.pi, n)
         candidate, residual, iterations = newton_magnitude_solve(
-            y,
-            z,
-            phases,
-            residual_target=pr_cfg.residual_target,
-            _forward=forward,
+            y, z, phases, residual_target=pr_cfg.residual_target, _forward=forward
         )
         if best is None or residual < best[0]:
             best = (residual, candidate, iterations)
@@ -203,9 +197,7 @@ def recover_orbit(
         ratio = inv.power_sum / base
         lam = principal_nth_root(ratio / abs(ratio), n)
         fixed = lam * candidate
-        fix_residual = abs(power_invariant(fixed) - inv.power_sum) / max(
-            abs(inv.power_sum), 1.0
-        )
+        fix_residual = abs(power_invariant(fixed) - inv.power_sum) / max(abs(inv.power_sum), 1.0)
         match = invariant_distance(heisenberg_invariants(fixed), inv)
         if match > recovery_tol:
             verify_rejected += 1

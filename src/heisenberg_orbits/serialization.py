@@ -33,7 +33,7 @@ from .group import GroupElement
 from .invariants import HeisenbergInvariants
 from .phase_retrieval import PhaseRetrievalConfig
 from .pipeline import OrbitRecoveryReport
-from .spectral import DEFAULT_RECOVERY_TOL, checked_tolerance
+from .spectral import DEFAULT_RECOVERY_TOL, checked_integer, checked_tolerance
 
 
 def load_json(path) -> Any:
@@ -59,13 +59,11 @@ def _field(obj, key, where):
 
 
 def _int(obj, key, where, minimum=None) -> int:
-    """A JSON integer field, not a bool, and at least `minimum` when given."""
-    value = _field(obj, key, where)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InputFormatError(f"{where}: field {key!r} must be an integer")
-    if minimum is not None and value < minimum:
-        raise InputFormatError(f"{where}: field {key!r} must be at least {minimum}")
-    return value
+    """A JSON integer field that passes checked_integer with `minimum`."""
+    try:
+        return checked_integer(_field(obj, key, where), minimum, f"field {key!r}")
+    except ValueError as exc:
+        raise InputFormatError(f"{where}: {exc}") from exc
 
 
 def _numbers(obj, key, where, shape=()):

@@ -39,6 +39,19 @@ def checked_tolerance(tol) -> float:
     return float(tol)
 
 
+def checked_integer(value, minimum=None, name="value") -> int:
+    """value as an int: the one integer rule, which every integer argument passes.
+
+    A Python or numpy integer (not a bool) of at least minimum; else ValueError.
+    """
+    # type(), not isinstance(): a bool is an int, but no integer argument
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}")
+    return int(value)
+
+
 def vanishing_coefficients(V, floor: float = DEFAULT_GENERICITY_FLOOR) -> np.ndarray:
     """Indices k with |V[k]| <= floor: the package's one genericity rule.
 
@@ -75,6 +88,7 @@ def dft_matrix(n: int) -> np.ndarray:
     Used directly in hot loops where per-call FFT overhead dominates at
     desk-scale n; agrees with dft() to machine precision.
     """
+    n = checked_integer(n, 1, "dimension")
     j = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(j, j) / n)
 
@@ -84,19 +98,18 @@ def cyclic_shift(v, k: int) -> np.ndarray:
     arr = np.asarray(v)
     if arr.ndim != 1:
         raise ValueError("expected a one-dimensional vector")
-    return np.roll(arr, -int(k))
+    return np.roll(arr, -checked_integer(k, name="shift"))
 
 
 def principal_nth_root(c, n: int) -> complex:
     """Return r with r**n = c and arg(r) in [0, 2*pi/n); r = 0 for c = 0.
 
-    Only n < 1 raises (ValueError). Callers judge c against the genericity
-    floor first: the phase fixes take roots of unit-modulus ratios, after
-    their screens have rejected a vanishing power sum or coordinate.
+    Raises ValueError unless n is an integer >= 1. Callers judge c against
+    the genericity floor first: the phase fixes take roots of unit-modulus
+    ratios, after screens reject a vanishing power sum or coordinate.
     """
     c = complex(c)
-    if not n >= 1:
-        raise ValueError("root order must be a positive integer")
+    n = checked_integer(n, 1, "root order")
     theta = np.angle(c) % (2.0 * np.pi)
     if theta == 2.0 * np.pi:  # an angle in (-4.4e-16, 0) rounds up to 2*pi
         theta = 0.0
@@ -105,9 +118,8 @@ def principal_nth_root(c, n: int) -> complex:
 
 def sample_random_signal(n: int, seed: int) -> np.ndarray:
     """I.i.d. standard complex Gaussian entries, deterministic given seed."""
-    if n < 1:
-        raise ValueError("dimension must be a positive integer")
-    rng = np.random.default_rng(seed)
+    n = checked_integer(n, 1, "dimension")
+    rng = np.random.default_rng(checked_integer(seed, 0, "seed"))
     re = rng.standard_normal(n)
     im = rng.standard_normal(n)
     return (re + 1j * im) / np.sqrt(2.0)

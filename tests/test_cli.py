@@ -42,7 +42,7 @@ PACKAGE_ERROR_EXITS = [
     (errors.InputFormatError, 2),
     (errors.OrderMismatch, 2),
     (errors.NonGenericInput, 3),
-    (errors.InconsistentInvariants, 3),
+    (errors.InconsistentInvariants, 5),
 ]
 
 
@@ -187,7 +187,8 @@ class TestRecoverCommand:
         obj = invariants_to_json(HeisenbergInvariants(bogus, inv.bfm, inv.power_sum))
         inv_path = tmp_path / "inv.json"
         dump_json(obj, inv_path)
-        assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 3
+        # no real vector has it: inconsistent data, exit 5
+        assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 5
 
     def test_full_layout_bundle_rejected(self, tmp_path, capsys):
         # a bundle written with the whole N x N matrices is an input error
@@ -239,20 +240,21 @@ class TestRecoverCommand:
         assert capsys.readouterr().err == "error: stage failed\n"
 
     @pytest.mark.parametrize(
-        "bundle, args",
+        "bundle, args, code",
         [
-            (inconsistent_bm_bundle, ["--seed", "3", "--max-restarts", "2000"]),
+            (inconsistent_bm_bundle, ["--seed", "3", "--max-restarts", "2000"], 5),
             (lambda: heisenberg_invariants(0.05 * generic_signal(6, 5024)),
-             ["--seed", "24", "--max-restarts", "4000"]),
+             ["--seed", "24", "--max-restarts", "4000"], 3),
         ],
         ids=["inconsistent-bm", "vanishing-power-sum"],
     )
-    def test_bundle_no_start_can_pass(self, tmp_path, capsys, bundle, args):
-        # rejected before the first start, so no report is written
+    def test_bundle_no_start_can_pass(self, tmp_path, capsys, bundle, args, code):
+        # rejected before the first start, so no report is written; an
+        # inconsistent bundle exits 5 and a non-generic one 3
         inv_path = tmp_path / "inv.json"
         rec_path = tmp_path / "rec.json"
         dump_json(invariants_to_json(bundle()), inv_path)
-        assert main(["recover", str(inv_path), str(rec_path), *args]) == 3
+        assert main(["recover", str(inv_path), str(rec_path), *args]) == code
         assert capsys.readouterr().err.startswith("error: ")
         assert not rec_path.exists()
 
@@ -504,23 +506,33 @@ class TestExperimentCommand:
 
 class TestDegreeAuditCommand:
     def test_all_zero_up_to_ten(self, capsys):
+        # every row below d = N reads 0, and each N's block ends at d = N
         assert main(["degree-audit", "--max-n", "10"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        cells = [line.split("\t") for line in lines[1:]]
-        assert all(int(c[2]) == 0 for c in cells)
-        assert len(cells) == sum(n - 1 for n in range(2, 11))
+        cells = [[int(v) for v in line.split("\t")] for line in lines[1:]]
+        assert [(n, d) for n, d, _ in cells] == [
+            (n, d) for n in range(2, 11) for d in range(1, n + 1)
+        ]
+        assert all(count == 0 for n, d, count in cells if d < n)
 
     def test_minimal_table(self, capsys):
         assert main(["degree-audit", "--max-n", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[1:] == ["2\t1\t0"]
+        assert lines[1:] == ["2\t1\t0", "2\t2\t3"]
 
     def test_boundary_column(self, capsys):
-        assert main(["degree-audit", "--max-n", "3", "--include-boundary"]) == 0
+        # the d = N row is the first nonzero count: C(2N - 1, N - 1)
+        assert main(["degree-audit", "--max-n", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         table = {(int(a), int(b)): int(c) for a, b, c in (l.split("\t") for l in lines[1:])}
         assert table[(2, 2)] == 3
         assert table[(3, 3)] == 10
+
+    def test_include_boundary_flag_removed(self):
+        # degree-audit takes no flag for the d = N row: it always prints it
+        with pytest.raises(SystemExit) as exc:
+            main(["degree-audit", "--max-n", "3", "--include-boundary"])
+        assert exc.value.code == 2
 
     def test_max_n_below_two_rejected(self, capsys):
         assert main(["degree-audit", "--max-n", "1"]) == 2

@@ -1,6 +1,7 @@
 """Input checks at the public entry points: one row per rejected input."""
 
 import math
+from dataclasses import astuple
 from functools import partial
 
 import numpy as np
@@ -14,16 +15,22 @@ from heisenberg_orbits import (
     PhaseRetrievalConfig,
     StageResiduals,
     WeightedCyclicInvariants,
+    act,
+    apply_weighted_generator,
     as_complex_vector,
     best_global_phase,
     cyclic_shift,
     degree_audit,
     dft,
+    dft_matrix,
     enumerate_group,
+    error_reduction,
     invert_bispectrum,
     is_generic,
     magnitudes_match,
     max_relative_deviation,
+    newton_magnitude_solve,
+    orbit_distance,
     principal_nth_root,
     recover_weight12,
     sample_random_signal,
@@ -36,7 +43,60 @@ ONES4 = np.ones(4)
 # genericity floor would call every vector non-generic
 BAD_TOLERANCES = {"zero": 0.0, "negative": -1.0, "nan": math.nan, "inf": math.inf}
 
+
+def integer_rows(row_id, call, name, below=None):
+    """Rows for one integer argument, call(value): a float and a bool are no
+    integer, and `below` (when given) is under the argument's minimum.
+
+    Each message names the argument, so the match pins which check fired.
+    """
+    cases = {"float": (2.5, "an integer"), "bool": (True, "an integer")}
+    if below is not None:
+        cases["below"] = (below, "at least")
+    return [
+        pytest.param(call, (value,), ValueError, f"^{name} must be {rule}", id=f"{row_id}-{kind}")
+        for kind, (value, rule) in cases.items()
+    ]
+
+
+# Every integer argument goes through one rule. A below-minimum row is added
+# here only where no row further down already covers it.
+INTEGER_REJECTIONS = [
+    *integer_rows("group-element-order", lambda v: GroupElement(v, 1, 1, 1), "group order"),
+    *integer_rows("group-element-k", lambda v: GroupElement(3, v, 0, 0), "k"),
+    *integer_rows("group-element-n", lambda v: GroupElement(3, 0, v, 0), "n"),
+    *integer_rows("group-element-m", lambda v: GroupElement(3, 0, 0, v), "m"),
+    *integer_rows("enumerate_group-order", enumerate_group, "group order"),
+    *integer_rows("sample-dimension", lambda v: sample_random_signal(v, 1), "dimension"),
+    *integer_rows("sample-seed", lambda v: sample_random_signal(3, v), "seed", below=-1),
+    *integer_rows("root-order", lambda v: principal_nth_root(4.0, v), "root order"),
+    *integer_rows("shift-k", lambda v: cyclic_shift(ONES3, v), "shift"),
+    *integer_rows("dft_matrix-n", dft_matrix, "dimension", below=0),
+    *integer_rows("generator-power", lambda v: apply_weighted_generator(ONES3, v), "power"),
+    *integer_rows("degree_audit-order", lambda v: degree_audit(v, 3), "group order"),
+    *integer_rows("degree_audit-degree", lambda v: degree_audit(2, v), "degree"),
+    *integer_rows(
+        "config-max-restarts", lambda v: PhaseRetrievalConfig(max_restarts=v), "max_restarts"
+    ),
+    *integer_rows(
+        "config-max-iterations", lambda v: PhaseRetrievalConfig(max_iterations=v),
+        "max_iterations", below=0,
+    ),
+    *integer_rows("config-seed", lambda v: PhaseRetrievalConfig(seed=v), "seed", below=-1),
+    *integer_rows(
+        "error_reduction-max-iterations",
+        lambda v: error_reduction(ONES4, 4 * ONES4, np.zeros(4), v, 1e-10),
+        "max_iterations", below=-1,
+    ),
+    *integer_rows(
+        "newton-max-iterations",
+        lambda v: newton_magnitude_solve(ONES4, 4 * ONES4, np.zeros(4), v),
+        "max_iterations", below=-1,
+    ),
+]
+
 REJECTIONS = [
+    *INTEGER_REJECTIONS,
     *(
         pytest.param(
             is_generic, (X, floor), ValueError, "strictly positive", id=f"is_generic-{name}-floor"
@@ -132,3 +192,31 @@ REJECTIONS = [
 def test_input_rejected(call, args, error, message):
     with pytest.raises(error, match=message):
         call(*args)
+
+
+def test_numpy_integers_accepted():
+    # numpy integers pass the integer rule and give what Python ints give;
+    # GroupElement stores Python ints, also for the witness orbit_distance
+    # builds from np.argwhere indices
+    i = np.int64
+    g = GroupElement(i(5), i(7), i(-1), i(12))
+    assert astuple(g) == (5, 2, 4, 2)
+    _, witness = orbit_distance(X, act(GroupElement(4, 1, 2, 3), X))
+    assert all(type(v) is int for v in (*astuple(g), *astuple(witness)))
+    assert enumerate_group(i(2)) == enumerate_group(2)
+    np.testing.assert_array_equal(sample_random_signal(i(4), i(1)), X)
+    assert principal_nth_root(2j, i(3)) == principal_nth_root(2j, 3)
+    np.testing.assert_array_equal(cyclic_shift(X, i(-3)), cyclic_shift(X, -3))
+    np.testing.assert_array_equal(dft_matrix(i(4)), dft_matrix(4))
+    np.testing.assert_array_equal(
+        apply_weighted_generator(X, i(2)), apply_weighted_generator(X, 2)
+    )
+    assert degree_audit(i(3), i(3)) == 10
+    cfg = PhaseRetrievalConfig(max_restarts=i(3), max_iterations=i(4), seed=i(5))
+    assert astuple(cfg) == (3, 4, 5) and all(type(v) is int for v in astuple(cfg))
+    y, z = np.abs(X) ** 2, np.abs(dft(X)) ** 2
+    phases = np.linspace(0.0, 1.0, 4)
+    for solve in (partial(error_reduction, residual_target=1e-10), newton_magnitude_solve):
+        numpy_run, int_run = solve(y, z, phases, i(7)), solve(y, z, phases, 7)
+        np.testing.assert_array_equal(numpy_run[0], int_run[0])
+        assert numpy_run[1:] == int_run[1:]
