@@ -101,8 +101,10 @@ def unitary_bispectrum(V) -> np.ndarray:
     """B[i, j] = V[i] * V[j] * conj(V[(i + j) mod N]), exactly symmetric.
 
     For V the transform of a real vector this equals
-    V[i] * V[j] * V[(N - i - j) mod N] entrywise, by conjugate symmetry,
-    so one code path serves both the real and the complex form.
+    V[i] * V[j] * V[(N - i - j) mod N] to rounding, by conjugate symmetry;
+    the bundle and the two modulus bispectra take that real form one
+    product per symmetry orbit instead (_real_bispectrum), so that all 12
+    of its symmetries hold exactly.
     """
     V = as_complex_vector(V)
     n = len(V)
@@ -116,12 +118,14 @@ def unitary_bispectrum(V) -> np.ndarray:
 
 def modulus_bispectrum(x) -> np.ndarray:
     """Bispectrum of the squared-modulus vector of x."""
-    return unitary_bispectrum(dft(modulus_vector(x)))
+    y = modulus_vector(x)
+    return _real_bispectrum(_real_spectrum(y), _canonical_triples(len(y)))
 
 
 def fourier_modulus_bispectrum(x) -> np.ndarray:
     """Bispectrum of the squared-Fourier-modulus vector of x."""
-    return unitary_bispectrum(dft(fourier_modulus_vector(x)))
+    z = fourier_modulus_vector(x)
+    return _real_bispectrum(_real_spectrum(z), _canonical_triples(len(z)))
 
 
 def power_invariant(x) -> complex:
@@ -133,18 +137,85 @@ def _power_sum(x: np.ndarray) -> complex:
     return complex(np.sum(x ** len(x)))
 
 
+def _real_spectrum(y: np.ndarray) -> np.ndarray:
+    """Transform of the real vector y, made exactly Hermitian.
+
+    V[0] and the Nyquist entry are real and V[N - k] = conj(V[k]) bit for
+    bit; numpy's complex transform of a real vector misses the mirror by
+    rounding at many N, the first being N = 6.
+    """
+    half = np.fft.rfft(y)
+    half.imag[0] = 0.0
+    if len(y) % 2 == 0:
+        half.imag[-1] = 0.0
+    return np.concatenate((half, np.conj(half[(len(y) - 1) // 2 : 0 : -1])))
+
+
 def _spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transforms of the squared-modulus and squared-Fourier-modulus vectors of a validated x."""
-    return dft(np.abs(x) ** 2), dft(np.abs(np.fft.fft(x)) ** 2)
+    return _real_spectrum(np.abs(x) ** 2), _real_spectrum(np.abs(np.fft.fft(x)) ** 2)
+
+
+# The six ordered pairs (p, q) of distinct positions in a triple, as p and q rows
+_FIRST, _SECOND = np.array([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]).T
+
+
+def _canonical_triples(n: int) -> np.ndarray:
+    """One frequency triple per symmetry orbit of a real bispectrum, shape (3, M).
+
+    The columns are the sorted triples a <= b <= c with a + b + c = 0
+    (mod n) that are lexicographically no larger than their sorted
+    negation, in lexicographic order. For a real vector with spectrum V,
+    B[i, j] = V[i] V[j] V[-i - j] is the product over the triple
+    (i, j, -i - j), so it is fixed by the 6 permutations of the triple and
+    conjugated by negating it: 12 matrix positions share each value.
+    """
+    # Sorted residues with a + b + c = 0 (mod n) sum to 0, n or 2n. Negation
+    # fixes each (0, b, n - b) and maps a triple with a >= 1 summing to n to
+    # one summing to 2n that starts with n - c > a. So the smaller of the two
+    # is (0, 0, 0) or sums to exactly n: a <= b <= c = n - a - b.
+    a = np.arange(n // 3 + 1)[:, None]
+    b = np.arange(n // 2 + 1)
+    a, b = np.nonzero((a <= b) & (a + 2 * b <= n))
+    return np.stack((a, b, (n - a - b) % n))
+
+
+def _scatter(values: np.ndarray, triples: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix holding values[t] at every position of triple t.
+
+    The 6 permutation positions of a triple get its value and the 6
+    positions of its negation the conjugate. Every position belongs to one
+    such orbit. Where a triple is its own negation the value is written
+    last, so those positions hold it as given.
+    """
+    out = np.empty(n * n, dtype=np.complex128)
+    negated = -triples % n
+    out[negated[_FIRST] * n + negated[_SECOND]] = np.conj(values)
+    out[triples[_FIRST] * n + triples[_SECOND]] = values
+    return out.reshape(n, n)
+
+
+def _real_bispectrum(V: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Bispectrum of a real vector from its exactly Hermitian transform V.
+
+    One product V[a] V[b] V[c] per canonical triple, scattered to its 12
+    positions, so every symmetry holds bit for bit whatever numpy rounds.
+    """
+    values = V[triples[0]] * V[triples[1]] * V[triples[2]]
+    # the triples (0, b, -b) are the ones fixed by negation: V[0] |V[b]|**2 is real
+    fixed = triples[0] == 0
+    values[fixed] = values[fixed].real
+    return _scatter(values, triples, len(V))
 
 
 def heisenberg_invariants(x) -> HeisenbergInvariants:
     """Compute the full invariant bundle (bm, bfm, power sum) of x."""
     x = as_complex_vector(x)
     y_hat, z_hat = _spectra(x)
+    triples = _canonical_triples(len(x))
     return HeisenbergInvariants(
-        bm=unitary_bispectrum(y_hat),
-        bfm=unitary_bispectrum(z_hat),
+        bm=_real_bispectrum(y_hat, triples),
+        bfm=_real_bispectrum(z_hat, triples),
         power_sum=_power_sum(x),
     )
 

@@ -1,16 +1,19 @@
 """JSON encodings of every file the command line reads or writes.
 
 Complex vectors: {"n": N, "re": [...], "im": [...]}. The bispectra bm and bfm
-are symmetric, so a bundle stores each as its upper triangle: N(N+1)/2
-entries B[i, j], i <= j, row by row (the order of numpy.triu_indices), split
-the same way. All values assume the package-wide transform convention
-documented in spectral.py. A recovery report holds the
-candidate, success, one stage_residuals entry per StageResiduals field (a
-not-a-number residual serializes as null) and the diagnostics that
-recover_orbit documents. The experiment spec lives here too, with its
-dataclass; its one seed drives both the sampled signals and the recovery
-starts, its pr_config section sets only max_restarts, its tolerances section
-only recovery_tol, and any other key is an error.
+are those of real vectors, so 12 symmetries fix each entry (the 6
+permutations of the frequency triple (i, j, -i - j), and negation, which
+conjugates). A bundle stores each once per orbit, split the same way:
+B[a, b] for each canonical triple (a, b, c) of invariants._canonical_triples,
+in lexicographic order, a little over N**2 / 12 entries per matrix. All
+values assume the package-wide transform convention documented in
+spectral.py. A recovery report holds the candidate, success, one
+stage_residuals entry per StageResiduals field (a not-a-number residual
+serializes as null) and the diagnostics that recover_orbit documents. The
+experiment spec lives here too, with its dataclass; its one seed drives both
+the sampled signals and the recovery starts, its pr_config section sets only
+max_restarts, its tolerances section only recovery_tol, and any other key is
+an error.
 
 Every input is decoded through the same private readers: an integer field is
 a JSON integer (not a bool), and a number field holds finite JSON numbers of
@@ -30,7 +33,7 @@ import numpy as np
 from .cyclic import WeightedCyclicInvariants
 from .errors import InputFormatError
 from .group import GroupElement
-from .invariants import HeisenbergInvariants
+from .invariants import HeisenbergInvariants, _canonical_triples, _scatter
 from .phase_retrieval import PhaseRetrievalConfig
 from .pipeline import OrbitRecoveryReport
 from .spectral import DEFAULT_RECOVERY_TOL, checked_integer, checked_tolerance
@@ -113,33 +116,28 @@ def group_element_to_json(g: GroupElement) -> dict:
     return {"N": g.order, "k": g.k, "n": g.n, "m": g.m}
 
 
-def _upper(n: int) -> np.ndarray:
-    """Mask of the entries i <= j of an n x n matrix; it selects them row by row."""
-    return ~np.tri(n, k=-1, dtype=bool)
+def _orbit_entries_to_json(matrix, triples, name) -> dict:
+    """B[a, b] for each canonical triple (a, b, c); ValueError unless they rebuild matrix."""
+    values = matrix[triples[0], triples[1]]
+    if not np.array_equal(_scatter(values, triples, len(matrix)), matrix):
+        raise ValueError(
+            f"{name} differs within a symmetry orbit, so one entry per orbit would lose data"
+        )
+    return _complex_to_json(values)
 
 
-def _upper_triangle_to_json(matrix, name) -> dict:
-    """The entries i <= j of a symmetric matrix; ValueError if it is not one."""
-    if not np.array_equal(matrix, matrix.T):
-        raise ValueError(f"{name} is not symmetric, so its upper triangle would lose entries")
-    return _complex_to_json(matrix[_upper(len(matrix))])
-
-
-def _upper_triangle(obj, n, where) -> np.ndarray:
-    """The symmetric n x n matrix whose upper triangle obj stores."""
-    packed = _complex(obj, where + ", upper triangle", (n * (n + 1) // 2,))
-    upper = _upper(n)
-    matrix = np.empty((n, n), dtype=np.complex128)
-    matrix[upper] = packed
-    matrix.T[upper] = packed
-    return matrix
+def _orbit_matrix(obj, triples, n, where) -> np.ndarray:
+    """The n x n real bispectrum whose canonical-triple entries obj stores."""
+    values = _complex(obj, where + ", one entry per symmetry orbit", (triples.shape[1],))
+    return _scatter(values, triples, n)
 
 
 def invariants_to_json(inv: HeisenbergInvariants) -> dict:
+    triples = _canonical_triples(inv.n)
     return {
         "n": inv.n,
-        "bm": _upper_triangle_to_json(inv.bm, "bm"),
-        "bfm": _upper_triangle_to_json(inv.bfm, "bfm"),
+        "bm": _orbit_entries_to_json(inv.bm, triples, "bm"),
+        "bfm": _orbit_entries_to_json(inv.bfm, triples, "bfm"),
         "iN": _complex_to_json(inv.power_sum),
     }
 
@@ -147,8 +145,9 @@ def invariants_to_json(inv: HeisenbergInvariants) -> dict:
 def invariants_from_json(obj) -> HeisenbergInvariants:
     where = "invariant bundle"
     n = _int(obj, "n", where, minimum=1)
-    bm = _upper_triangle(_field(obj, "bm", where), n, where + " (bm)")
-    bfm = _upper_triangle(_field(obj, "bfm", where), n, where + " (bfm)")
+    triples = _canonical_triples(n)
+    bm = _orbit_matrix(_field(obj, "bm", where), triples, n, where + " (bm)")
+    bfm = _orbit_matrix(_field(obj, "bfm", where), triples, n, where + " (bfm)")
     power = _complex(_field(obj, "iN", where), where + " (iN)")
     return HeisenbergInvariants(bm=bm, bfm=bfm, power_sum=power)
 

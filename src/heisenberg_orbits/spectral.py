@@ -33,7 +33,11 @@ def checked_tolerance(tol) -> float:
     """tol as a float if finite and strictly positive: the one tolerance rule.
 
     Every tolerance the package takes passes it, and so does is_generic's floor.
+    A bool or a value that is not a real number raises ValueError too.
     """
+    # type(), not isinstance(): a bool is an int, but no tolerance
+    if type(tol) is bool or not isinstance(tol, (int, float, np.integer, np.floating)):
+        raise ValueError(f"tolerance must be a real number, not {type(tol).__name__}")
     if not 0 < tol < math.inf:
         raise ValueError(f"tolerance must be finite and strictly positive, got {tol}")
     return float(tol)

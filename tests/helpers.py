@@ -1,5 +1,7 @@
 """Shared test helpers: sampling, zero padding, oracles and reference loops."""
 
+import itertools
+
 import numpy as np
 
 from heisenberg_orbits import (
@@ -34,15 +36,19 @@ def generic_real_signal(n, seed, floor=1e-8):
 
 
 def inconsistent_bm_bundle():
-    """Bundle of generic_signal(6, 11) with bm[2, 3] and bm[3, 2] scaled by 1.1.
+    """Bundle of generic_signal(6, 11) with the whole orbit of bm[2, 3] scaled by 1.1.
 
-    Its bm differs from the bispectrum of its own inversion by 0.091, so no
-    magnitude fit can match the bundle within the recovery tolerance.
+    The orbit is the 12 positions of the frequency triple (1, 2, 3) and its
+    negation (3, 4, 5), so a bundle file still holds the change. Its bm
+    differs from the bispectrum of its own inversion by 0.091 (9.091e-02,
+    about 1 - 1/1.1), so no magnitude fit can match the bundle within the
+    recovery tolerance.
     """
     inv = heisenberg_invariants(generic_signal(6, 11))
     bm = inv.bm.copy()
-    bm[2, 3] *= 1.1
-    bm[3, 2] *= 1.1
+    for i, j in itertools.permutations((1, 2, 3), 2):
+        bm[i, j] *= 1.1
+        bm[-i, -j] *= 1.1
     return HeisenbergInvariants(bm=bm, bfm=inv.bfm, power_sum=inv.power_sum)
 
 

@@ -179,28 +179,29 @@ class TestRecoverCommand:
         assert search["power_rejected"] == search["converged_starts"]
 
     def test_complex_bispectrum_rejected(self, tmp_path):
-        from heisenberg_orbits import HeisenbergInvariants, dft, unitary_bispectrum
-
-        inv = heisenberg_invariants(generic_signal(5, 6))
-        # the bispectrum of a complex vector, stored as its upper triangle
-        bogus = unitary_bispectrum(dft(sample_random_signal(5, 7)))
-        obj = invariants_to_json(HeisenbergInvariants(bogus, inv.bfm, inv.power_sum))
+        obj = invariants_to_json(heisenberg_invariants(generic_signal(5, 6)))
+        # turn the stored B[0, 1], the entry of triple (0, 1, 4), by a phase:
+        # V[0] |V[1]|**2 is real for every real vector
+        entry = complex(obj["bm"]["re"][1], obj["bm"]["im"][1]) * np.exp(0.3j)
+        obj["bm"]["re"][1], obj["bm"]["im"][1] = entry.real, entry.imag
         inv_path = tmp_path / "inv.json"
         dump_json(obj, inv_path)
         # no real vector has it: inconsistent data, exit 5
         assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 5
 
     def test_full_layout_bundle_rejected(self, tmp_path, capsys):
-        # a bundle written with the whole N x N matrices is an input error
+        # a bundle written with the whole N x N matrices, or with the upper
+        # triangles of older files, is an input error
         inv = heisenberg_invariants(generic_signal(5, 6))
-        obj = invariants_to_json(inv)
-        for field in ("bm", "bfm"):
-            matrix = getattr(inv, field)
-            obj[field] = {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}
-        inv_path = tmp_path / "inv.json"
-        dump_json(obj, inv_path)
-        assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 2
-        assert "shape (15,)" in capsys.readouterr().err
+        for layout in (np.indices((5, 5)), np.triu_indices(5)):
+            obj = invariants_to_json(inv)
+            for field in ("bm", "bfm"):
+                packed = getattr(inv, field)[tuple(layout)]
+                obj[field] = {"re": packed.real.tolist(), "im": packed.imag.tolist()}
+            inv_path = tmp_path / "inv.json"
+            dump_json(obj, inv_path)
+            assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 2
+            assert "shape (5,)" in capsys.readouterr().err
 
     def test_malformed_bundle(self, tmp_path):
         inv_path = tmp_path / "inv.json"

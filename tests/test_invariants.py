@@ -1,5 +1,7 @@
 """Invariant features: bispectra, power sum, genericity, distances."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,8 @@ from heisenberg_orbits import (
     sample_random_signal,
     unitary_bispectrum,
 )
+from heisenberg_orbits.serialization import invariants_to_json
+from heisenberg_orbits.spectral import max_relative_deviation
 
 from helpers import generic_signal
 
@@ -82,8 +86,8 @@ class TestUnitaryBispectrum:
 
     @pytest.mark.parametrize("scale", [2.0 ** e for e in range(-2, 3)])
     def test_exactly_symmetric(self, scale):
-        # the bundle stores the upper triangle only, so B[i, j] = B[j, i]
-        # must hold bit for bit, for complex and real-transform spectra alike
+        # B[i, j] = B[j, i] holds bit for bit, for complex and real-transform
+        # spectra alike
         rng = np.random.default_rng(int(4 * scale))
         for n in range(1, 65):
             for V in (
@@ -92,19 +96,6 @@ class TestUnitaryBispectrum:
             ):
                 B = unitary_bispectrum(V)
                 assert np.array_equal(B, B.T), n
-
-    def test_upper_triangle_is_the_formula(self):
-        # entries i <= j are V[i] * V[j] * conj(V[i + j]) as written, bit for bit
-        for n in range(1, 65):
-            x = sample_random_signal(n, 300 + n)
-            inv = heisenberg_invariants(x)
-            i = np.arange(n)[:, None]
-            j = np.arange(n)[None, :]
-            upper = np.triu_indices(n)
-            spectra = (dft(modulus_vector(x)), dft(fourier_modulus_vector(x)))
-            for B, V in zip((inv.bm, inv.bfm), spectra):
-                formula = V[i] * V[j] * np.conj(V[(i + j) % n])
-                assert np.array_equal(B[upper].view(np.int64), formula[upper].view(np.int64)), n
 
 
 class TestModulusBispectrum:
@@ -150,6 +141,91 @@ class TestFourierModulusBispectrum:
         rhs = modulus_bispectrum(dft(x))
         scale = np.max(np.abs(lhs))
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
+
+
+# sizes past 128 too, where numpy's transform rounds differently
+REAL_BISPECTRUM_SIZES = [*range(1, 65), 100, 128, 129, 256]
+
+
+def canonical_triples(n):
+    """Sorted triples a <= b <= c, a + b + c = 0 (mod n), no larger than
+    their sorted negation, in lexicographic order: the loop as written."""
+    triples = []
+    for a in range(n):
+        for b in range(a, n):
+            c = (-a - b) % n
+            negated = sorted((-a % n, -b % n, -c % n))
+            if c >= b and [a, b, c] <= negated:
+                triples.append((a, b, c))
+    return triples
+
+
+def hermitian_spectrum(y):
+    """numpy's half transform of the real y, mirrored: V[N - k] = conj(V[k])
+    exactly, with V[0] and the Nyquist entry real."""
+    n = len(y)
+    half = np.fft.rfft(y)
+    V = np.array([half[k] if k <= n // 2 else np.conj(half[n - k]) for k in range(n)])
+    V[0] = V[0].real
+    if n % 2 == 0:
+        V[n // 2] = V[n // 2].real
+    return V
+
+
+class TestRealBispectrum:
+    """bm and bfm hold one product per symmetry orbit of a real bispectrum."""
+
+    def test_canonical_triple_is_the_formula(self):
+        # the bundle stores, in triple order, V[a] * V[b] * V[c] bit for bit,
+        # and its real part for the triples (0, b, -b) that negation fixes
+        for n in REAL_BISPECTRUM_SIZES:
+            x = sample_random_signal(n, 300 + n)
+            obj = invariants_to_json(heisenberg_invariants(x))
+            a, b, c = np.array(canonical_triples(n)).T
+            for field, y in (("bm", modulus_vector(x)), ("bfm", fourier_modulus_vector(x))):
+                V = hermitian_spectrum(y)
+                # numpy's array product, whose rounding can differ from a
+                # product of complex scalars
+                values = V[a] * V[b] * V[c]
+                values = np.where(a == 0, values.real, values)
+                for part in ("real", "imag"):
+                    stored = np.array(obj[field][part[:2]])
+                    assert np.array_equal(
+                        stored.view(np.int64), getattr(values, part).view(np.int64)
+                    ), (n, field)
+
+    def test_twelve_symmetries_exact(self):
+        # B[i, j] is the product over the triple (i, j, -i - j): every
+        # ordered pair of the triple holds it, and every pair of the negated
+        # triple its conjugate
+        for n in REAL_BISPECTRUM_SIZES:
+            inv = heisenberg_invariants(sample_random_signal(n, 900 + n))
+            i = np.arange(n)[:, None]
+            j = np.arange(n)[None, :]
+            k = (-i - j) % n
+            for B in (inv.bm, inv.bfm):
+                for p, q in itertools.permutations((i, j, k), 2):
+                    assert np.array_equal(B[p, q], B), n
+                    assert np.array_equal(np.conj(B[-p % n, -q % n]), B), n
+
+    def test_public_bispectra_are_the_bundle(self):
+        for n in range(1, 65):
+            x = sample_random_signal(n, 500 + n)
+            inv = heisenberg_invariants(x)
+            for public, stored in (
+                (modulus_bispectrum(x), inv.bm),
+                (fourier_modulus_bispectrum(x), inv.bfm),
+            ):
+                assert np.array_equal(public.view(np.int64), stored.view(np.int64)), n
+
+    def test_matches_the_complex_formula(self):
+        # the conjugate form of unitary_bispectrum agrees to rounding of the
+        # two transforms (measured at most 2.8e-13, at N = 26)
+        for n in REAL_BISPECTRUM_SIZES:
+            x = sample_random_signal(n, 100 + n)
+            inv = heisenberg_invariants(x)
+            for B, y in ((inv.bm, modulus_vector(x)), (inv.bfm, fourier_modulus_vector(x))):
+                assert max_relative_deviation(B, unitary_bispectrum(dft(y))) <= 1e-11, n
 
 
 class TestPowerInvariant:

@@ -31,6 +31,7 @@ from heisenberg_orbits import (
     max_relative_deviation,
     newton_magnitude_solve,
     orbit_distance,
+    orbit_equivalent,
     principal_nth_root,
     recover_weight12,
     sample_random_signal,
@@ -192,6 +193,25 @@ REJECTIONS = [
 def test_input_rejected(call, args, error, message):
     with pytest.raises(error, match=message):
         call(*args)
+
+
+@pytest.mark.parametrize(
+    "value", [True, "1e-3", None, 1e-3 + 0j], ids=["bool", "string", "none", "complex"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: is_generic(X, tol),
+        lambda tol: magnitudes_match(X, ONES4, ONES4, tol),
+        lambda tol: orbit_equivalent(X, X, tol),
+    ],
+    ids=["is_generic", "magnitudes_match", "orbit_equivalent"],
+)
+def test_tolerance_must_be_a_number(call, value):
+    # a bool would pass as 1 or 0 and a string failed with a TypeError; the
+    # tolerance rule rejects both before any comparison
+    with pytest.raises(ValueError, match="^tolerance must be a real number"):
+        call(value)
 
 
 def test_numpy_integers_accepted():

@@ -83,33 +83,42 @@ class TestInvariantBundle:
         obj = invariants_to_json(inv)
         assert set(obj) == {"n", "bm", "bfm", "iN"}
         assert set(obj["iN"]) == {"re", "im"}
-        # the upper triangle, row by row: 3 * 4 / 2 entries
-        assert obj["bm"]["re"] == inv.bm.real[np.triu_indices(3)].tolist()
-        assert obj["bfm"]["im"] == inv.bfm.imag[np.triu_indices(3)].tolist()
-        assert len(obj["bm"]["re"]) == 6
+        # one entry B[a, b] per canonical triple (a, b, c), in lexicographic
+        # order: (0, 0, 0), (0, 1, 2) and (1, 1, 1) at N = 3
+        rows, cols = [0, 0, 1], [0, 1, 1]
+        assert obj["bm"]["re"] == inv.bm.real[rows, cols].tolist()
+        assert obj["bfm"]["im"] == inv.bfm.imag[rows, cols].tolist()
+        assert len(obj["bm"]["re"]) == 3
 
     def test_packed_round_trip_is_exact(self):
-        for n in range(1, 65):
+        for n in [*range(1, 65), 100, 128, 129, 256]:
             inv = heisenberg_invariants(sample_random_signal(n, 700 + n))
             back = invariants_from_json(json.loads(json.dumps(invariants_to_json(inv))))
             assert np.array_equal(back.bm, inv.bm) and np.array_equal(back.bfm, inv.bfm), n
             assert back.power_sum == inv.power_sum
 
     def test_full_layout_rejected(self):
-        inv = heisenberg_invariants(sample_random_signal(3, 4))
-        obj = invariants_to_json(inv)
-        obj["bm"] = {"re": inv.bm.real.tolist(), "im": inv.bm.imag.tolist()}
-        with pytest.raises(InputFormatError, match=r"upper triangle.*shape \(6,\)"):
-            invariants_from_json(obj)
+        # the whole N x N matrix and the upper triangle that older bundles
+        # stored are input errors naming the 5 entries of N = 5
+        inv = heisenberg_invariants(sample_random_signal(5, 4))
+        for packed in (inv.bm, inv.bm[np.triu_indices(5)]):
+            obj = invariants_to_json(inv)
+            obj["bm"] = {"re": packed.real.tolist(), "im": packed.imag.tolist()}
+            with pytest.raises(InputFormatError, match=r"symmetry orbit.*shape \(5,\)"):
+                invariants_from_json(obj)
 
     @pytest.mark.parametrize("field", ["bm", "bfm"])
     def test_asymmetric_matrix_not_written(self, field):
+        # not a real bispectrum: B[2, 1] leaves the value of its transpose,
+        # or B[2, 2] the conjugate of B[1, 1], the entry of the negated triple
         inv = heisenberg_invariants(sample_random_signal(3, 4))
-        matrix = getattr(inv, field).copy()
-        matrix[2, 1] *= 1.5
-        bad = HeisenbergInvariants(**{**vars(inv), field: matrix})
-        with pytest.raises(ValueError, match=f"{field} is not symmetric"):
-            invariants_to_json(bad)
+        off_transpose, off_conjugate = (getattr(inv, field).copy() for _ in range(2))
+        off_transpose[2, 1] *= 1.5
+        off_conjugate[2, 2] = off_conjugate[1, 1]
+        for matrix in (off_transpose, off_conjugate):
+            bad = HeisenbergInvariants(**{**vars(inv), field: matrix})
+            with pytest.raises(ValueError, match=f"{field} differs within a symmetry orbit"):
+                invariants_to_json(bad)
 
     def test_rejects_ragged_matrix(self):
         inv = heisenberg_invariants(sample_random_signal(3, 4))
