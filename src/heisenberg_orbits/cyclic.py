@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconsistentInvariants, NonGenericInput
-from .inversion import invert_bispectrum
+from .inversion import _march
 from .invariants import unitary_bispectrum
 from .spectral import (
     as_complex_vector,
     checked_integer,
     dft,
+    idft,
     principal_nth_root,
     vanishing_coefficients,
 )
@@ -156,7 +157,7 @@ def recover_cyclic_orbit(x) -> np.ndarray:
     inversion raises NonGenericInput when one is at or below
     DEFAULT_GENERICITY_FLOOR.
     """
-    return invert_bispectrum(unitary_bispectrum(dft(x))).signal
+    return idft(_march(unitary_bispectrum(dft(x))))
 
 
 def degree_audit(order: int, degree: int) -> int:

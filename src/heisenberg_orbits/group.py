@@ -147,12 +147,11 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
     near = np.argwhere(screen <= np.min(screen) + 2 * margin)
 
     j = np.arange(order)
-    modulations = np.exp(2j * np.pi * np.outer(np.arange(order), j) / order)
-    phases = np.exp(2j * np.pi * np.arange(order) / order)
+    phases = np.exp(2j * np.pi * j / order)
     best_dist = np.inf
     best_g = identity(order)
     for k, n in near:
-        modulated = np.roll(x, -k) * modulations[n]
+        modulated = np.roll(x, -k) * np.exp(2j * np.pi * (n * j) / order)
         # all m at once; argmin returns the first minimizer
         diffs = phases[:, None] * modulated[None, :] - x2[None, :]
         dists = np.linalg.norm(diffs, axis=1)

@@ -10,6 +10,8 @@ that is not an N-th root of unity, which is what lets it pin the phase later.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,13 +121,13 @@ def unitary_bispectrum(V) -> np.ndarray:
 def modulus_bispectrum(x) -> np.ndarray:
     """Bispectrum of the squared-modulus vector of x."""
     y = modulus_vector(x)
-    return _real_bispectrum(_real_spectrum(y), _canonical_triples(len(y)))
+    return _real_bispectrum(_real_spectrum(y))
 
 
 def fourier_modulus_bispectrum(x) -> np.ndarray:
     """Bispectrum of the squared-Fourier-modulus vector of x."""
     z = fourier_modulus_vector(x)
-    return _real_bispectrum(_real_spectrum(z), _canonical_triples(len(z)))
+    return _real_bispectrum(_real_spectrum(z))
 
 
 def power_invariant(x) -> complex:
@@ -159,13 +161,45 @@ def _spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # The six ordered pairs (p, q) of distinct positions in a triple, as p and q rows
 _FIRST, _SECOND = np.array([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]).T
 
+# Orders whose orbit plan stays cached; a plan takes about two thirds of the
+# memory of an n x n complex matrix, and a run works at a handful of orders
+_PLAN_CACHE_ORDERS = 8
 
-def _canonical_triples(n: int) -> np.ndarray:
-    """One frequency triple per symmetry orbit of a real bispectrum, shape (3, M).
 
-    The columns are the sorted triples a <= b <= c with a + b + c = 0
-    (mod n) that are lexicographically no larger than their sorted
-    negation, in lexicographic order. For a real vector with spectrum V,
+def _orbit_count(n: int) -> int:
+    """Number of canonical triples at order n, in closed form.
+
+    The sorted triples a <= b <= c with a + b + c = n are the partitions of
+    n into at most 3 parts, round((n + 3)**2 / 12) of them. This costs
+    nothing even where the triple table would not fit in memory, so a file
+    header can be checked against its entry lists before any table exists.
+    """
+    return ((n + 3) ** 2 + 6) // 12
+
+
+class _OrbitPlan(NamedTuple):
+    """The index tables of one order's real bispectrum, shared read-only.
+
+    triples: the canonical triples, shape (3, M).
+    forward: flat n x n positions of the 6 permutations of each triple, (6, M).
+    negated: flat positions of the 6 permutations of each negated triple, (6, M).
+    fixed: the triples (0, b, -b) that negation fixes, a boolean mask of length M.
+    """
+
+    triples: np.ndarray
+    forward: np.ndarray
+    negated: np.ndarray
+    fixed: np.ndarray
+
+
+@lru_cache(maxsize=_PLAN_CACHE_ORDERS)
+def _orbit_plan(n: int) -> _OrbitPlan:
+    """The orbit plan of order n, built once and cached with its arrays read-only.
+
+    The canonical triples are one per symmetry orbit of a real bispectrum:
+    the sorted triples a <= b <= c with a + b + c = 0 (mod n) that are
+    lexicographically no larger than their sorted negation, in
+    lexicographic order. For a real vector with spectrum V,
     B[i, j] = V[i] V[j] V[-i - j] is the product over the triple
     (i, j, -i - j), so it is fixed by the 6 permutations of the triple and
     conjugated by negating it: 12 matrix positions share each value.
@@ -177,45 +211,64 @@ def _canonical_triples(n: int) -> np.ndarray:
     a = np.arange(n // 3 + 1)[:, None]
     b = np.arange(n // 2 + 1)
     a, b = np.nonzero((a <= b) & (a + 2 * b <= n))
-    return np.stack((a, b, (n - a - b) % n))
+    triples = np.stack((a, b, (n - a - b) % n))
+    negated = -triples % n
+    plan = _OrbitPlan(
+        triples=triples,
+        forward=triples[_FIRST] * n + triples[_SECOND],
+        negated=negated[_FIRST] * n + negated[_SECOND],
+        fixed=triples[0] == 0,
+    )
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
-def _scatter(values: np.ndarray, triples: np.ndarray, n: int) -> np.ndarray:
-    """The n x n matrix holding values[t] at every position of triple t.
+def _canonical_triples(n: int) -> np.ndarray:
+    """One frequency triple per symmetry orbit of a real bispectrum, shape (3, M), read-only.
+
+    See _orbit_plan for which triples and in what order.
+    """
+    return _orbit_plan(n).triples
+
+
+def _scatter(values: np.ndarray, n: int) -> np.ndarray:
+    """The n x n matrix holding values[t] at every position of canonical triple t.
 
     The 6 permutation positions of a triple get its value and the 6
     positions of its negation the conjugate. Every position belongs to one
     such orbit. Where a triple is its own negation the value is written
     last, so those positions hold it as given.
     """
+    plan = _orbit_plan(n)
     out = np.empty(n * n, dtype=np.complex128)
-    negated = -triples % n
-    out[negated[_FIRST] * n + negated[_SECOND]] = np.conj(values)
-    out[triples[_FIRST] * n + triples[_SECOND]] = values
+    out[plan.negated] = np.conj(values)
+    out[plan.forward] = values
     return out.reshape(n, n)
 
 
-def _real_bispectrum(V: np.ndarray, triples: np.ndarray) -> np.ndarray:
+def _real_bispectrum(V: np.ndarray) -> np.ndarray:
     """Bispectrum of a real vector from its exactly Hermitian transform V.
 
     One product V[a] V[b] V[c] per canonical triple, scattered to its 12
     positions, so every symmetry holds bit for bit whatever numpy rounds.
     """
+    n = len(V)
+    plan = _orbit_plan(n)
+    triples = plan.triples
     values = V[triples[0]] * V[triples[1]] * V[triples[2]]
-    # the triples (0, b, -b) are the ones fixed by negation: V[0] |V[b]|**2 is real
-    fixed = triples[0] == 0
-    values[fixed] = values[fixed].real
-    return _scatter(values, triples, len(V))
+    # V[0] |V[b]|**2 is real for the triples (0, b, -b) that negation fixes
+    values[plan.fixed] = values[plan.fixed].real
+    return _scatter(values, n)
 
 
 def heisenberg_invariants(x) -> HeisenbergInvariants:
     """Compute the full invariant bundle (bm, bfm, power sum) of x."""
     x = as_complex_vector(x)
     y_hat, z_hat = _spectra(x)
-    triples = _canonical_triples(len(x))
     return HeisenbergInvariants(
-        bm=_real_bispectrum(y_hat, triples),
-        bfm=_real_bispectrum(z_hat, triples),
+        bm=_real_bispectrum(y_hat),
+        bfm=_real_bispectrum(z_hat),
         power_sum=_power_sum(x),
     )
 

@@ -15,9 +15,9 @@ V for the unknown spectrum:
    unknown; the wrap-around constraint phi_N = phi_0 (mod 2*pi) restricts t
    to N candidates that differ by 2*pi/N, exactly the cyclic-shift freedom.
    The canonical choice takes the m = 0 candidate.
-4. Only row B[1, .] is consumed as data; every other entry is replayed
-   into the residual of `invert_bispectrum`. `invert_real_bispectrum`
-   returns the signal alone and drops that residual, so `recover_orbit`
+4. Only row B[1, .] is consumed as data; `invert_bispectrum` replays every
+   other entry into its residual. `invert_real_bispectrum` returns the
+   signal alone and never computes that replay, since `recover_orbit`
    replays the inverted vectors itself, after clipping them at 0.
 """
 
@@ -51,29 +51,10 @@ class InversionResult:
     residual: float
 
 
-def invert_bispectrum(B) -> InversionResult:
-    """Invert a bispectrum matrix to a canonical cyclic-shift representative.
+def _march(B) -> np.ndarray:
+    """Steps 1-3 of the module docstring: the canonical spectrum with bispectrum B.
 
-    Parameters
-    ----------
-    B : (N, N) complex array
-        Bispectrum of some spectrum with nonvanishing entries.
-
-    Returns
-    -------
-    InversionResult
-        The recovered signal is cyclic-shift-equivalent to any vector whose
-        bispectrum equals B.
-
-    Raises
-    ------
-    ValueError
-        If B is not a nonempty square matrix of finite entries.
-    NonGenericInput
-        If |V[0]| or any magnitude estimate is at or below
-        DEFAULT_GENERICITY_FLOOR.
-    InconsistentInvariants
-        If a squared-magnitude estimate is not real within 1e-9 of its modulus.
+    Raises the errors that invert_bispectrum documents.
     """
     B = np.asarray(B, dtype=np.complex128)
     if B.ndim != 2 or B.shape[0] != B.shape[1] or not B.size or not np.isfinite(B).all():
@@ -116,21 +97,50 @@ def invert_bispectrum(B) -> InversionResult:
     spectrum = np.empty(n, dtype=np.complex128)
     spectrum[0] = v0
     spectrum[1:] = mags[1:] * np.exp(1j * (np.arange(1, n) * t + d[:-1]))
+    return spectrum
 
-    signal = idft(spectrum)
+
+def invert_bispectrum(B) -> InversionResult:
+    """Invert a bispectrum matrix to a canonical cyclic-shift representative.
+
+    Parameters
+    ----------
+    B : (N, N) complex array
+        Bispectrum of some spectrum with nonvanishing entries.
+
+    Returns
+    -------
+    InversionResult
+        The recovered signal is cyclic-shift-equivalent to any vector whose
+        bispectrum equals B.
+
+    Raises
+    ------
+    ValueError
+        If B is not a nonempty square matrix of finite entries.
+    NonGenericInput
+        If |V[0]| or any magnitude estimate is at or below
+        DEFAULT_GENERICITY_FLOOR.
+    InconsistentInvariants
+        If a squared-magnitude estimate is not real within 1e-9 of its modulus.
+    """
+    B = np.asarray(B, dtype=np.complex128)
+    spectrum = _march(B)
     residual = max_relative_deviation(B, unitary_bispectrum(spectrum))
-    return InversionResult(spectrum=spectrum, signal=signal, residual=residual)
+    return InversionResult(spectrum=spectrum, signal=idft(spectrum), residual=residual)
 
 
 def invert_real_bispectrum(B) -> np.ndarray:
     """Invert the bispectrum of a real vector; returns the real signal.
 
-    Raises InconsistentInvariants when the recovered signal carries an
-    imaginary residue above 1e-9 * ||signal||, which means the input was not
-    the bispectrum of any real vector. The errors of invert_bispectrum
-    propagate.
+    The signal is invert_bispectrum(B).signal.real bit for bit, but the
+    replay residual is never computed: callers that want one replay the
+    signal they keep. Raises InconsistentInvariants when the recovered
+    signal carries an imaginary residue above 1e-9 * ||signal||, which
+    means the input was not the bispectrum of any real vector. Every error
+    of invert_bispectrum is raised on the same inputs, with the same message.
     """
-    signal = invert_bispectrum(B).signal
+    signal = idft(_march(B))
     residue = float(np.max(np.abs(signal.imag)))
     if residue > _REL_EQ * float(np.linalg.norm(signal)):
         raise InconsistentInvariants(

@@ -33,7 +33,7 @@ import numpy as np
 from .cyclic import WeightedCyclicInvariants
 from .errors import InputFormatError
 from .group import GroupElement
-from .invariants import HeisenbergInvariants, _canonical_triples, _scatter
+from .invariants import HeisenbergInvariants, _canonical_triples, _orbit_count, _scatter
 from .phase_retrieval import PhaseRetrievalConfig
 from .pipeline import OrbitRecoveryReport
 from .spectral import DEFAULT_RECOVERY_TOL, checked_integer, checked_tolerance
@@ -116,28 +116,33 @@ def group_element_to_json(g: GroupElement) -> dict:
     return {"N": g.order, "k": g.k, "n": g.n, "m": g.m}
 
 
-def _orbit_entries_to_json(matrix, triples, name) -> dict:
+def _orbit_entries_to_json(matrix, name) -> dict:
     """B[a, b] for each canonical triple (a, b, c); ValueError unless they rebuild matrix."""
+    n = len(matrix)
+    triples = _canonical_triples(n)
     values = matrix[triples[0], triples[1]]
-    if not np.array_equal(_scatter(values, triples, len(matrix)), matrix):
+    if not np.array_equal(_scatter(values, n), matrix):
         raise ValueError(
             f"{name} differs within a symmetry orbit, so one entry per orbit would lose data"
         )
     return _complex_to_json(values)
 
 
-def _orbit_matrix(obj, triples, n, where) -> np.ndarray:
-    """The n x n real bispectrum whose canonical-triple entries obj stores."""
-    values = _complex(obj, where + ", one entry per symmetry orbit", (triples.shape[1],))
-    return _scatter(values, triples, n)
+def _orbit_matrix(obj, n, where) -> np.ndarray:
+    """The n x n real bispectrum whose canonical-triple entries obj stores.
+
+    The entry count is checked against the closed-form orbit count first, so
+    a header n that its entry lists do not match builds no table of order n.
+    """
+    values = _complex(obj, where + ", one entry per symmetry orbit", (_orbit_count(n),))
+    return _scatter(values, n)
 
 
 def invariants_to_json(inv: HeisenbergInvariants) -> dict:
-    triples = _canonical_triples(inv.n)
     return {
         "n": inv.n,
-        "bm": _orbit_entries_to_json(inv.bm, triples, "bm"),
-        "bfm": _orbit_entries_to_json(inv.bfm, triples, "bfm"),
+        "bm": _orbit_entries_to_json(inv.bm, "bm"),
+        "bfm": _orbit_entries_to_json(inv.bfm, "bfm"),
         "iN": _complex_to_json(inv.power_sum),
     }
 
@@ -145,9 +150,8 @@ def invariants_to_json(inv: HeisenbergInvariants) -> dict:
 def invariants_from_json(obj) -> HeisenbergInvariants:
     where = "invariant bundle"
     n = _int(obj, "n", where, minimum=1)
-    triples = _canonical_triples(n)
-    bm = _orbit_matrix(_field(obj, "bm", where), triples, n, where + " (bm)")
-    bfm = _orbit_matrix(_field(obj, "bfm", where), triples, n, where + " (bfm)")
+    bm = _orbit_matrix(_field(obj, "bm", where), n, where + " (bm)")
+    bfm = _orbit_matrix(_field(obj, "bfm", where), n, where + " (bfm)")
     power = _complex(_field(obj, "iN", where), where + " (iN)")
     return HeisenbergInvariants(bm=bm, bfm=bfm, power_sum=power)
 

@@ -203,6 +203,17 @@ class TestRecoverCommand:
             assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 2
             assert "shape (5,)" in capsys.readouterr().err
 
+    def test_header_order_beyond_the_entries(self, tmp_path, capsys):
+        # a 5-entry N = 5 bundle claiming N = 1e6 is an input error, not an
+        # attempt to build the N = 1e6 tables
+        obj = invariants_to_json(heisenberg_invariants(generic_signal(5, 6)))
+        obj["n"] = 10**6
+        inv_path, rec_path = tmp_path / "inv.json", tmp_path / "rec.json"
+        dump_json(obj, inv_path)
+        assert main(["recover", str(inv_path), str(rec_path)]) == 2
+        assert "one entry per symmetry orbit" in capsys.readouterr().err
+        assert not rec_path.exists()
+
     def test_malformed_bundle(self, tmp_path):
         inv_path = tmp_path / "inv.json"
         dump_json({"n": 3, "bm": {}}, inv_path)

@@ -25,6 +25,12 @@ from heisenberg_orbits import (
     sample_random_signal,
     unitary_bispectrum,
 )
+from heisenberg_orbits.invariants import (
+    _PLAN_CACHE_ORDERS,
+    _canonical_triples,
+    _orbit_count,
+    _orbit_plan,
+)
 from heisenberg_orbits.serialization import invariants_to_json
 from heisenberg_orbits.spectral import max_relative_deviation
 
@@ -226,6 +232,40 @@ class TestRealBispectrum:
             inv = heisenberg_invariants(x)
             for B, y in ((inv.bm, modulus_vector(x)), (inv.bfm, fourier_modulus_vector(x))):
                 assert max_relative_deviation(B, unitary_bispectrum(dft(y))) <= 1e-11, n
+
+
+class TestOrbitPlan:
+    """Each order's triple and index tables are built once and shared read-only."""
+
+    def test_cached_plan_is_a_fresh_construction(self):
+        for n in range(1, 71):
+            plan, fresh = _orbit_plan(n), _orbit_plan.__wrapped__(n)
+            for cached, built in zip(plan, fresh):
+                assert np.array_equal(cached, built) and cached.dtype == built.dtype, n
+            triples = np.array(canonical_triples(n)).T
+            assert np.array_equal(plan.triples, triples) and len(triples[0]) == _orbit_count(n), n
+            # the flat positions of the 6 ordered pairs of each triple and
+            # of its negation, in any order within a column
+            for flat, t in ((plan.forward, triples), (plan.negated, -triples % n)):
+                pairs = [t[p] * n + t[q] for p, q in itertools.permutations(range(3), 2)]
+                assert np.array_equal(np.sort(flat, axis=0), np.sort(pairs, axis=0)), n
+            assert np.array_equal(plan.fixed, triples[0] == 0), n
+
+    def test_tables_are_read_only(self):
+        plan = _orbit_plan(12)
+        for array in (*plan, _canonical_triples(12), _canonical_triples(12)[0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+
+    def test_one_build_per_order(self):
+        assert _orbit_plan(9) is _orbit_plan(9)
+        assert _canonical_triples(9) is _canonical_triples(9)
+
+    def test_cache_size_is_fixed(self):
+        for n in range(1, 3 * _PLAN_CACHE_ORDERS):
+            heisenberg_invariants(sample_random_signal(n, n))
+        info = _orbit_plan.cache_info()
+        assert info.maxsize == _PLAN_CACHE_ORDERS and info.currsize <= _PLAN_CACHE_ORDERS
 
 
 class TestPowerInvariant:

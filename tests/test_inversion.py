@@ -7,6 +7,7 @@ from heisenberg_orbits import (
     InconsistentInvariants,
     NonGenericInput,
     dft,
+    fourier_modulus_bispectrum,
     invert_bispectrum,
     invert_real_bispectrum,
     is_generic,
@@ -28,6 +29,13 @@ def with_small_pair(modulus):
     spectrum[2] *= modulus / abs(spectrum[2])
     spectrum[7] = np.conj(spectrum[2])
     return np.fft.ifft(spectrum).real
+
+
+def turned_magnitude_entry():
+    """A real-vector bispectrum with B[1, 0], a squared magnitude, turned off the real axis."""
+    B = unitary_bispectrum(dft(generic_real_signal(5, 70)))
+    B[1, 0] *= np.exp(0.01j)
+    return B
 
 
 class TestInvertBispectrum:
@@ -73,10 +81,8 @@ class TestInvertBispectrum:
 
     def test_complex_squared_magnitude_rejected(self):
         # B[k, 0] / V[0] estimates |V[k]|**2, which must be real
-        B = unitary_bispectrum(dft(generic_real_signal(5, 70)))
-        B[1, 0] *= np.exp(0.01j)
         with pytest.raises(InconsistentInvariants, match=r"not real at indices \[1\]"):
-            invert_bispectrum(B)
+            invert_bispectrum(turned_magnitude_entry())
 
     def test_zero_leading_entry(self):
         B = np.zeros((4, 4), dtype=complex)
@@ -135,3 +141,42 @@ class TestInvertRealBispectrum:
             unitary_bispectrum(dft(np.roll(y, -3)))
         )
         assert np.linalg.norm(base - shifted) <= 1e-9 * np.linalg.norm(y)
+
+
+class TestRealInversionSkipsTheReplay:
+    """invert_real_bispectrum is the march of invert_bispectrum without its replay."""
+
+    def test_signal_is_the_full_inversion(self):
+        for n in range(1, 41):
+            y = generic_real_signal(n, 400 + n)
+            x = generic_signal(n, 500 + n)
+            bispectra = (
+                unitary_bispectrum(dft(y)), modulus_bispectrum(x), fourier_modulus_bispectrum(x)
+            )
+            for B in bispectra:
+                full = invert_bispectrum(B).signal.real
+                assert invert_real_bispectrum(B).tobytes() == full.tobytes(), n
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: np.ones((2, 3), complex), ValueError),
+            (lambda: np.ones((0, 0), complex), ValueError),
+            (lambda: [[np.nan]], ValueError),
+            (lambda: [[np.inf]], ValueError),
+            (lambda: np.zeros((4, 4), complex), NonGenericInput),
+            (lambda: unitary_bispectrum(dft(np.ones(5, dtype=complex))), NonGenericInput),
+            (lambda: unitary_bispectrum(dft(with_small_pair(FLOOR / 10))), NonGenericInput),
+            (turned_magnitude_entry, InconsistentInvariants),
+        ],
+        ids=[
+            "non-square", "empty", "nan", "inf", "zero-leading", "flat", "below-floor",
+            "complex-magnitude",
+        ],
+    )
+    def test_same_rejections(self, make, error):
+        with pytest.raises(error) as full:
+            invert_bispectrum(make())
+        with pytest.raises(error) as real:
+            invert_real_bispectrum(make())
+        assert type(real.value) is type(full.value) and str(real.value) == str(full.value)

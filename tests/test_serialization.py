@@ -13,6 +13,7 @@ from heisenberg_orbits import (
     sample_random_signal,
     weighted_invariants,
 )
+from heisenberg_orbits.invariants import _orbit_plan
 from heisenberg_orbits.serialization import (
     complex_vector_from_json,
     complex_vector_to_json,
@@ -119,6 +120,16 @@ class TestInvariantBundle:
             bad = HeisenbergInvariants(**{**vars(inv), field: matrix})
             with pytest.raises(ValueError, match=f"{field} differs within a symmetry orbit"):
                 invariants_to_json(bad)
+
+    def test_header_order_beyond_the_entries(self):
+        # the entry count is checked against the header before any table of
+        # that order is built: an N = 1e6 table would take about 155 GiB
+        obj = invariants_to_json(heisenberg_invariants(sample_random_signal(5, 4)))
+        obj["n"] = 10**6
+        before = _orbit_plan.cache_info()
+        with pytest.raises(InputFormatError, match=r"\(bm\), one entry per symmetry orbit"):
+            invariants_from_json(obj)
+        assert _orbit_plan.cache_info() == before
 
     def test_rejects_ragged_matrix(self):
         inv = heisenberg_invariants(sample_random_signal(3, 4))
