@@ -181,14 +181,13 @@ class _OrbitPlan(NamedTuple):
     """The index tables of one order's real bispectrum, shared read-only.
 
     triples: the canonical triples, shape (3, M).
-    forward: flat n x n positions of the 6 permutations of each triple, (6, M).
-    negated: flat positions of the 6 permutations of each negated triple, (6, M).
+    gather: for each flat n x n position, t where it holds the value of
+        triple t and M + t where it holds the conjugate, length n * n.
     fixed: the triples (0, b, -b) that negation fixes, a boolean mask of length M.
     """
 
     triples: np.ndarray
-    forward: np.ndarray
-    negated: np.ndarray
+    gather: np.ndarray
     fixed: np.ndarray
 
 
@@ -213,12 +212,13 @@ def _orbit_plan(n: int) -> _OrbitPlan:
     a, b = np.nonzero((a <= b) & (a + 2 * b <= n))
     triples = np.stack((a, b, (n - a - b) % n))
     negated = -triples % n
-    plan = _OrbitPlan(
-        triples=triples,
-        forward=triples[_FIRST] * n + triples[_SECOND],
-        negated=negated[_FIRST] * n + negated[_SECOND],
-        fixed=triples[0] == 0,
-    )
+    index = np.arange(triples.shape[1])
+    # every position lies in one such orbit; where a triple is its own
+    # negation the forward index is written last, so it holds the value as given
+    gather = np.empty(n * n, dtype=np.intp)
+    gather[negated[_FIRST] * n + negated[_SECOND]] = index + len(index)
+    gather[triples[_FIRST] * n + triples[_SECOND]] = index
+    plan = _OrbitPlan(triples=triples, gather=gather, fixed=triples[0] == 0)
     for array in plan:
         array.flags.writeable = False
     return plan
@@ -236,15 +236,10 @@ def _scatter(values: np.ndarray, n: int) -> np.ndarray:
     """The n x n matrix holding values[t] at every position of canonical triple t.
 
     The 6 permutation positions of a triple get its value and the 6
-    positions of its negation the conjugate. Every position belongs to one
-    such orbit. Where a triple is its own negation the value is written
-    last, so those positions hold it as given.
+    positions of its negation the conjugate, in one gather through the
+    plan's table.
     """
-    plan = _orbit_plan(n)
-    out = np.empty(n * n, dtype=np.complex128)
-    out[plan.negated] = np.conj(values)
-    out[plan.forward] = values
-    return out.reshape(n, n)
+    return np.concatenate((values, np.conj(values)))[_orbit_plan(n).gather].reshape(n, n)
 
 
 def _real_bispectrum(V: np.ndarray) -> np.ndarray:

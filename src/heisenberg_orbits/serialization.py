@@ -3,25 +3,29 @@
 Complex vectors: {"n": N, "re": [...], "im": [...]}. The bispectra bm and bfm
 are those of real vectors, so 12 symmetries fix each entry (the 6
 permutations of the frequency triple (i, j, -i - j), and negation, which
-conjugates). A bundle stores each once per orbit, split the same way:
-B[a, b] for each canonical triple (a, b, c) of invariants._canonical_triples,
-in lexicographic order, a little over N**2 / 12 entries per matrix. All
-values assume the package-wide transform convention documented in
-spectral.py. A recovery report holds the candidate, success, one
-stage_residuals entry per StageResiduals field (a not-a-number residual
-serializes as null) and the diagnostics that recover_orbit documents. The
-experiment spec lives here too, with its dataclass; its one seed drives both
-the sampled signals and the recovery starts, its pr_config section sets only
-max_restarts, its tolerances section only recovery_tol, and any other key is
-an error.
+conjugates). A bundle stores each once per orbit: B[a, b] for each
+canonical triple (a, b, c) of invariants._canonical_triples, in
+lexicographic order, a little over N**2 / 12 entries per matrix, packed as
+{"dtype": "<c16", "data": base64 of their little-endian complex128 bytes}.
+That keeps every bit and is not meant for hand editing; the power sum iN
+and every other file keep {"re": ..., "im": ...} numbers. All values
+assume the package-wide transform convention documented in spectral.py. A
+recovery report holds the candidate, success, one stage_residuals entry per
+StageResiduals field (a not-a-number residual serializes as null) and the
+diagnostics that recover_orbit documents. The experiment spec lives here
+too, with its dataclass; its one seed drives both the sampled signals and
+the recovery starts, its pr_config section sets only max_restarts, its
+tolerances section only recovery_tol, and any other key is an error.
 
 Every input is decoded through the same private readers: an integer field is
-a JSON integer (not a bool), and a number field holds finite JSON numbers of
-an exact shape. Anything else raises InputFormatError.
+a JSON integer (not a bool), a number field holds finite JSON numbers of an
+exact shape, and a packed field holds finite values of an exact count.
+Anything else raises InputFormatError.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass
@@ -93,8 +97,14 @@ def _numbers(obj, key, where, shape=()):
 
 
 def _complex(obj, where, shape=()):
-    """Complex numbers of `shape` stored as {"re": ..., "im": ...} in obj."""
-    return _numbers(obj, "re", where, shape) + 1j * _numbers(obj, "im", where, shape)
+    """Complex numbers of `shape` stored as {"re": ..., "im": ...} in obj.
+
+    The parts are copied in, not summed, so a -0.0 part keeps its sign.
+    """
+    values = np.empty(shape, dtype=np.complex128)
+    values.real = _numbers(obj, "re", where, shape)
+    values.imag = _numbers(obj, "im", where, shape)
+    return values if shape else complex(values)
 
 
 def _complex_to_json(values) -> dict:
@@ -116,8 +126,15 @@ def group_element_to_json(g: GroupElement) -> dict:
     return {"N": g.order, "k": g.k, "n": g.n, "m": g.m}
 
 
+# The dtype of packed bispectrum values: little-endian complex128
+_PACKED_DTYPE = "<c16"
+
+
 def _orbit_entries_to_json(matrix, name) -> dict:
-    """B[a, b] for each canonical triple (a, b, c); ValueError unless they rebuild matrix."""
+    """B[a, b] for each canonical triple (a, b, c), packed.
+
+    ValueError unless those values rebuild matrix.
+    """
     n = len(matrix)
     triples = _canonical_triples(n)
     values = matrix[triples[0], triples[1]]
@@ -125,16 +142,36 @@ def _orbit_entries_to_json(matrix, name) -> dict:
         raise ValueError(
             f"{name} differs within a symmetry orbit, so one entry per orbit would lose data"
         )
-    return _complex_to_json(values)
+    data = base64.b64encode(values.astype(_PACKED_DTYPE, copy=False).tobytes())
+    return {"dtype": _PACKED_DTYPE, "data": data.decode("ascii")}
 
 
 def _orbit_matrix(obj, n, where) -> np.ndarray:
-    """The n x n real bispectrum whose canonical-triple entries obj stores.
+    """The n x n real bispectrum whose canonical-triple entries obj packs.
 
-    The entry count is checked against the closed-form orbit count first, so
-    a header n that its entry lists do not match builds no table of order n.
+    The byte count is checked against the closed-form orbit count first, so
+    a header n that its data does not match builds no table of order n.
     """
-    values = _complex(obj, where + ", one entry per symmetry orbit", (_orbit_count(n),))
+    where += ", one entry per symmetry orbit"
+    if _field(obj, "dtype", where) != _PACKED_DTYPE:
+        raise InputFormatError(f"{where}: field 'dtype' must be {_PACKED_DTYPE!r}")
+    data = _field(obj, "data", where)
+    if not isinstance(data, str):
+        raise InputFormatError(f"{where}: field 'data' must be a base64 string")
+    try:
+        # binascii.Error, or ValueError for a character outside ASCII
+        raw = base64.b64decode(data, validate=True)
+    except ValueError as exc:
+        raise InputFormatError(f"{where}: field 'data' is not base64: {exc}") from exc
+    count = _orbit_count(n)
+    if len(raw) != 16 * count:
+        raise InputFormatError(
+            f"{where}: field 'data' must hold {count} complex128 values "
+            f"({16 * count} bytes), not {len(raw)} bytes"
+        )
+    values = np.frombuffer(raw, dtype=_PACKED_DTYPE)
+    if not np.isfinite(values).all():
+        raise InputFormatError(f"{where}: field 'data' must be finite")
     return _scatter(values, n)
 
 

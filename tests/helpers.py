@@ -1,5 +1,6 @@
 """Shared test helpers: sampling, zero padding, oracles and reference loops."""
 
+import base64
 import itertools
 
 import numpy as np
@@ -13,6 +14,7 @@ from heisenberg_orbits import (
     is_generic,
     sample_random_signal,
 )
+from heisenberg_orbits.invariants import _canonical_triples
 from heisenberg_orbits.spectral import as_complex_vector, dft_matrix, max_relative_deviation
 
 
@@ -50,6 +52,70 @@ def inconsistent_bm_bundle():
         bm[i, j] *= 1.1
         bm[-i, -j] *= 1.1
     return HeisenbergInvariants(bm=bm, bfm=inv.bfm, power_sum=inv.power_sum)
+
+
+def bundle_orbit_values(obj, field):
+    """The orbit values that field "bm" or "bfm" of a bundle object packs, as a new array."""
+    return np.frombuffer(base64.b64decode(obj[field]["data"]), dtype="<c16").astype(complex)
+
+
+def set_bundle_orbit_values(obj, field, values):
+    """Pack values into field "bm" or "bfm" of a bundle object as little-endian complex128."""
+    data = base64.b64encode(np.asarray(values, dtype="<c16").tobytes()).decode("ascii")
+    obj[field] = {"dtype": "<c16", "data": data}
+
+
+def _set_key(key, value):
+    return lambda obj, field: obj[field].update({key: value})
+
+
+def _edit_data(edit):
+    return lambda obj, field: obj[field].update(data=edit(obj[field]["data"]))
+
+
+def _edit_values(edit):
+    return lambda obj, field: set_bundle_orbit_values(
+        obj, field, edit(bundle_orbit_values(obj, field))
+    )
+
+
+# Ways a packed bispectrum field can be malformed: name -> edit(obj, field) of
+# a valid bundle object in place. Each makes the bundle an input error.
+MALFORMED_PACKED_FIELDS = {
+    "missing-dtype": lambda obj, field: obj[field].pop("dtype"),
+    "dtype-complex64": _set_key("dtype", "<c8"),
+    "dtype-big-endian": _set_key("dtype", ">c16"),
+    "data-list": _set_key("data", [0.0, 1.0]),
+    "data-number": _set_key("data", 80),
+    "data-null": _set_key("data", None),
+    "non-alphabet": _edit_data(lambda data: "*" + data[1:]),
+    "url-safe-alphabet": _edit_data(lambda data: "-" + data[1:]),
+    "non-ascii": _edit_data(lambda data: "\u00e9" + data[1:]),
+    "bad-padding": _edit_data(lambda data: data[:-1]),
+    "one-value-short": _edit_values(lambda values: values[:-1]),
+    "one-value-over": _edit_values(lambda values: np.append(values, values[0])),
+    "half-value-over": _edit_data(
+        lambda data: base64.b64encode(base64.b64decode(data) + bytes(8)).decode("ascii")
+    ),
+    "nan": _edit_values(lambda values: np.append(values[:-1], complex(np.nan, 0.0))),
+    "inf": _edit_values(lambda values: np.append(values[:-1], complex(0.0, np.inf))),
+    "minus-inf": _edit_values(lambda values: np.append(values[:-1], complex(-np.inf, 0.0))),
+}
+
+
+def reference_scatter(values, n):
+    """Reference loop: the two-assignment scatter of canonical-triple values.
+
+    The 6 ordered pairs of each negated triple get the conjugate, then the
+    6 of each triple the value, so a triple that is its own negation holds
+    the value as given. `invariants._scatter` must return the same bytes.
+    """
+    triples = _canonical_triples(n)
+    out = np.empty((n, n), dtype=complex)
+    for t, value in ((-triples % n, np.conj(values)), (triples, values)):
+        for p, q in itertools.permutations(range(3), 2):
+            out[t[p], t[q]] = value
+    return out
 
 
 def zero_padded(x):

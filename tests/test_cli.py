@@ -16,6 +16,7 @@ from heisenberg_orbits import (
 )
 from heisenberg_orbits import errors
 from heisenberg_orbits.cli import main
+from heisenberg_orbits.invariants import _canonical_triples
 from heisenberg_orbits.serialization import (
     complex_vector_from_json,
     complex_vector_to_json,
@@ -25,7 +26,15 @@ from heisenberg_orbits.serialization import (
     load_json,
 )
 
-from helpers import generic_signal, inconsistent_bm_bundle, min_shift_distance, zero_padded
+from helpers import (
+    MALFORMED_PACKED_FIELDS,
+    bundle_orbit_values,
+    generic_signal,
+    inconsistent_bm_bundle,
+    min_shift_distance,
+    set_bundle_orbit_values,
+    zero_padded,
+)
 
 
 def write_vector(path, x):
@@ -182,18 +191,21 @@ class TestRecoverCommand:
         obj = invariants_to_json(heisenberg_invariants(generic_signal(5, 6)))
         # turn the stored B[0, 1], the entry of triple (0, 1, 4), by a phase:
         # V[0] |V[1]|**2 is real for every real vector
-        entry = complex(obj["bm"]["re"][1], obj["bm"]["im"][1]) * np.exp(0.3j)
-        obj["bm"]["re"][1], obj["bm"]["im"][1] = entry.real, entry.imag
+        values = bundle_orbit_values(obj, "bm")
+        values[1] *= np.exp(0.3j)
+        set_bundle_orbit_values(obj, "bm", values)
         inv_path = tmp_path / "inv.json"
         dump_json(obj, inv_path)
         # no real vector has it: inconsistent data, exit 5
         assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 5
 
     def test_full_layout_bundle_rejected(self, tmp_path, capsys):
-        # a bundle written with the whole N x N matrices, or with the upper
-        # triangles of older files, is an input error
+        # a bundle written with the whole N x N matrices, with the upper
+        # triangles or with the {"re": [...], "im": [...]} orbit lists of
+        # older files is an input error
         inv = heisenberg_invariants(generic_signal(5, 6))
-        for layout in (np.indices((5, 5)), np.triu_indices(5)):
+        orbit_layout = _canonical_triples(5)[:2]
+        for layout in (np.indices((5, 5)), np.triu_indices(5), orbit_layout):
             obj = invariants_to_json(inv)
             for field in ("bm", "bfm"):
                 packed = getattr(inv, field)[tuple(layout)]
@@ -201,7 +213,17 @@ class TestRecoverCommand:
             inv_path = tmp_path / "inv.json"
             dump_json(obj, inv_path)
             assert main(["recover", str(inv_path), str(tmp_path / "rec.json")]) == 2
-            assert "shape (5,)" in capsys.readouterr().err
+            assert "missing field 'dtype'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", MALFORMED_PACKED_FIELDS)
+    def test_malformed_packed_bundle_rejected(self, tmp_path, capsys, case):
+        obj = invariants_to_json(heisenberg_invariants(generic_signal(5, 6)))
+        MALFORMED_PACKED_FIELDS[case](obj, "bm")
+        inv_path, rec_path = tmp_path / "inv.json", tmp_path / "rec.json"
+        dump_json(obj, inv_path)
+        assert main(["recover", str(inv_path), str(rec_path)]) == 2
+        assert "(bm), one entry per symmetry orbit" in capsys.readouterr().err
+        assert not rec_path.exists()
 
     def test_header_order_beyond_the_entries(self, tmp_path, capsys):
         # a 5-entry N = 5 bundle claiming N = 1e6 is an input error, not an

@@ -30,11 +30,12 @@ from heisenberg_orbits.invariants import (
     _canonical_triples,
     _orbit_count,
     _orbit_plan,
+    _scatter,
 )
 from heisenberg_orbits.serialization import invariants_to_json
 from heisenberg_orbits.spectral import max_relative_deviation
 
-from helpers import generic_signal
+from helpers import bundle_orbit_values, generic_signal, reference_scatter
 
 
 class TestMagnitudeVectors:
@@ -194,11 +195,8 @@ class TestRealBispectrum:
                 # product of complex scalars
                 values = V[a] * V[b] * V[c]
                 values = np.where(a == 0, values.real, values)
-                for part in ("real", "imag"):
-                    stored = np.array(obj[field][part[:2]])
-                    assert np.array_equal(
-                        stored.view(np.int64), getattr(values, part).view(np.int64)
-                    ), (n, field)
+                stored = bundle_orbit_values(obj, field)
+                assert stored.tobytes() == values.tobytes(), (n, field)
 
     def test_twelve_symmetries_exact(self):
         # B[i, j] is the product over the triple (i, j, -i - j): every
@@ -244,13 +242,17 @@ class TestOrbitPlan:
                 assert np.array_equal(cached, built) and cached.dtype == built.dtype, n
             triples = np.array(canonical_triples(n)).T
             assert np.array_equal(plan.triples, triples) and len(triples[0]) == _orbit_count(n), n
-            # the flat positions of the 6 ordered pairs of each triple and
-            # of its negation, in any order within a column
-            for flat, t in ((plan.forward, triples), (plan.negated, -triples % n)):
-                pairs = [t[p] * n + t[q] for p, q in itertools.permutations(range(3), 2)]
-                assert np.array_equal(np.sort(flat, axis=0), np.sort(pairs, axis=0)), n
+            # position (i, j) holds the value of the canonical triple that
+            # sorts (i, j, -i - j), else the conjugate of the one that sorts
+            # its negation
+            index = {tuple(t): k for k, t in enumerate(triples.T.tolist())}
+            gather = []
+            for i, j in itertools.product(range(n), repeat=2):
+                t = tuple(sorted((i, j, (-i - j) % n)))
+                negated = tuple(sorted(-v % n for v in t))
+                gather.append(index[t] if t in index else len(index) + index[negated])
+            assert np.array_equal(plan.gather, gather), n
             assert np.array_equal(plan.fixed, triples[0] == 0), n
-
     def test_tables_are_read_only(self):
         plan = _orbit_plan(12)
         for array in (*plan, _canonical_triples(12), _canonical_triples(12)[0]):
@@ -260,6 +262,16 @@ class TestOrbitPlan:
     def test_one_build_per_order(self):
         assert _orbit_plan(9) is _orbit_plan(9)
         assert _canonical_triples(9) is _canonical_triples(9)
+        assert _orbit_plan(9).gather is _orbit_plan(9).gather
+
+    def test_gather_is_the_two_assignment_scatter(self):
+        # one gather through the plan's table, byte for byte the scatter
+        # that writes the negated positions and then the forward ones
+        for n in [*range(1, 71), 128]:
+            rng = np.random.default_rng(n)
+            count = _orbit_count(n)
+            values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+            assert _scatter(values, n).tobytes() == reference_scatter(values, n).tobytes(), n
 
     def test_cache_size_is_fixed(self):
         for n in range(1, 3 * _PLAN_CACHE_ORDERS):

@@ -1,5 +1,6 @@
 """JSON round trips and format validation for the shared types."""
 
+import base64
 import json
 
 import numpy as np
@@ -13,7 +14,7 @@ from heisenberg_orbits import (
     sample_random_signal,
     weighted_invariants,
 )
-from heisenberg_orbits.invariants import _orbit_plan
+from heisenberg_orbits.invariants import _orbit_count, _orbit_plan
 from heisenberg_orbits.serialization import (
     complex_vector_from_json,
     complex_vector_to_json,
@@ -25,6 +26,8 @@ from heisenberg_orbits.serialization import (
     weighted_invariants_from_json,
     weighted_invariants_to_json,
 )
+
+from helpers import MALFORMED_PACKED_FIELDS, bundle_orbit_values, reference_scatter
 
 
 class TestComplexVector:
@@ -84,28 +87,40 @@ class TestInvariantBundle:
         obj = invariants_to_json(inv)
         assert set(obj) == {"n", "bm", "bfm", "iN"}
         assert set(obj["iN"]) == {"re", "im"}
+        assert set(obj["bm"]) == set(obj["bfm"]) == {"dtype", "data"}
+        assert obj["bm"]["dtype"] == obj["bfm"]["dtype"] == "<c16"
         # one entry B[a, b] per canonical triple (a, b, c), in lexicographic
-        # order: (0, 0, 0), (0, 1, 2) and (1, 1, 1) at N = 3
+        # order: (0, 0, 0), (0, 1, 2) and (1, 1, 1) at N = 3, as the bytes
+        # of little-endian complex128 values
         rows, cols = [0, 0, 1], [0, 1, 1]
-        assert obj["bm"]["re"] == inv.bm.real[rows, cols].tolist()
-        assert obj["bfm"]["im"] == inv.bfm.imag[rows, cols].tolist()
-        assert len(obj["bm"]["re"]) == 3
+        for field in ("bm", "bfm"):
+            expected = getattr(inv, field)[rows, cols].astype("<c16").tobytes()
+            assert base64.b64decode(obj[field]["data"]) == expected
+        assert len(bundle_orbit_values(obj, "bm")) == 3
 
     def test_packed_round_trip_is_exact(self):
-        for n in [*range(1, 65), 100, 128, 129, 256]:
-            inv = heisenberg_invariants(sample_random_signal(n, 700 + n))
+        sizes = [*range(1, 129), 129, 256]
+        bundles = [heisenberg_invariants(sample_random_signal(n, 700 + n)) for n in sizes]
+        # a bundle whose orbit values are the four signed-zero complex numbers
+        zeros = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
+        assert _orbit_count(4) == len(zeros)
+        bm, bfm = reference_scatter(zeros, 4), reference_scatter(zeros[::-1], 4)
+        bundles.append(HeisenbergInvariants(bm=bm, bfm=bfm, power_sum=complex(-0.0, -0.0)))
+        for inv in bundles:
             back = invariants_from_json(json.loads(json.dumps(invariants_to_json(inv))))
-            assert np.array_equal(back.bm, inv.bm) and np.array_equal(back.bfm, inv.bfm), n
-            assert back.power_sum == inv.power_sum
+            for field in ("bm", "bfm"):
+                assert getattr(back, field).tobytes() == getattr(inv, field).tobytes(), inv.n
+            assert np.array([back.power_sum]).tobytes() == np.array([inv.power_sum]).tobytes()
 
     def test_full_layout_rejected(self):
-        # the whole N x N matrix and the upper triangle that older bundles
-        # stored are input errors naming the 5 entries of N = 5
+        # the whole N x N matrix, the upper triangle and the orbit lists of
+        # {"re": [...], "im": [...]} that older bundles stored are input errors
         inv = heisenberg_invariants(sample_random_signal(5, 4))
-        for packed in (inv.bm, inv.bm[np.triu_indices(5)]):
+        orbit = bundle_orbit_values(invariants_to_json(inv), "bm")
+        for packed in (inv.bm, inv.bm[np.triu_indices(5)], orbit):
             obj = invariants_to_json(inv)
             obj["bm"] = {"re": packed.real.tolist(), "im": packed.imag.tolist()}
-            with pytest.raises(InputFormatError, match=r"symmetry orbit.*shape \(5,\)"):
+            with pytest.raises(InputFormatError, match=r"symmetry orbit: missing field 'dtype'"):
                 invariants_from_json(obj)
 
     @pytest.mark.parametrize("field", ["bm", "bfm"])
@@ -132,10 +147,19 @@ class TestInvariantBundle:
         assert _orbit_plan.cache_info() == before
 
     def test_rejects_ragged_matrix(self):
-        inv = heisenberg_invariants(sample_random_signal(3, 4))
-        obj = invariants_to_json(inv)
-        obj["bm"]["re"][0] = [1.0]
-        with pytest.raises(InputFormatError):
+        # the packed bytes stop halfway through the last value
+        obj = invariants_to_json(heisenberg_invariants(sample_random_signal(3, 4)))
+        raw = base64.b64decode(obj["bm"]["data"])
+        obj["bm"]["data"] = base64.b64encode(raw[:-8]).decode("ascii")
+        with pytest.raises(InputFormatError, match=r"3 complex128 values \(48 bytes\), not 40"):
+            invariants_from_json(obj)
+
+    @pytest.mark.parametrize("field", ["bm", "bfm"])
+    @pytest.mark.parametrize("case", MALFORMED_PACKED_FIELDS)
+    def test_rejects_malformed_packed_field(self, case, field):
+        obj = invariants_to_json(heisenberg_invariants(sample_random_signal(5, 4)))
+        MALFORMED_PACKED_FIELDS[case](obj, field)
+        with pytest.raises(InputFormatError, match=rf"\({field}\), one entry per symmetry orbit"):
             invariants_from_json(obj)
 
     @pytest.mark.parametrize("value", [True, 10**400], ids=["bool", "huge-int"])
