@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import OrderMismatch
 from .spectral import as_complex_vector, checked_integer, checked_tolerance
@@ -85,30 +86,45 @@ def enumerate_group(order: int) -> list[GroupElement]:
     ]
 
 
-def _screen(x: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, float]:
-    """Approximate min over m of ||act((k, n, m), x) - x2||**2 for every (k, n).
+def _near_pairs(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """The pairs (k, n) whose screen lies within twice its margin of the smallest, as k N + n.
 
-    Returns the N x N screen and a bound on how far any entry, or the
-    squared norm `orbit_distance` computes exactly, can lie from the true
-    squared distance. Both are in units of 4**-e, where 2**e bounds the
-    largest entry of x and x2, so the screen neither overflows nor
-    underflows.
+    The screen approximates min over m of ||act((k, n, m), x) - x2||**2 for
+    every (k, n), with a bound on how far any entry, or the squared norm
+    `orbit_distance` computes exactly, can lie from the true squared
+    distance. Both are in units of 4**-e, where 2**e bounds the largest
+    entry of x and x2, so the screen neither overflows nor underflows. The
+    pairs come in lexicographic order.
+
+    Only pairs that can reach the smallest entry get a screen value. Each
+    entry is ||x||**2 + ||x2||**2 - 2 |C| cos(angle) and, as rounding is
+    monotone, never below ||x||**2 + ||x2||**2 - 2 |C|. The best m leaves
+    an angle of at most pi / N, so the entry at the largest |C| is at most
+    ||x||**2 + ||x2||**2 - 2 max |C| cos(pi / N), and one margin more covers
+    the rounding of both. So a pair whose lower bound exceeds that upper
+    bound by more than twice the margin is not near, and the others select
+    the same pairs, in the same order, as a screen of every pair would.
     """
     order = len(x)
-    largest = max(np.max(np.abs(x)), np.max(np.abs(x2)))
+    largest = np.abs(np.concatenate((x, x2))).max()
     e = int(np.frexp(largest)[1]) if largest > 0 else 0
     x = np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
     x2 = np.ldexp(x2.real, -e) + 1j * np.ldexp(x2.imag, -e)
-    # <act((k, n, m), x), x2> = zeta**m * C[k, n], one inverse FFT per shift k
-    j = np.arange(order)
-    rows = x[(j[:, None] + j[None, :]) % order] * np.conj(x2)[None, :]
-    c = order * np.fft.ifft(rows, axis=1)
-    # the best m rounds -arg(C) * N / (2 pi); what is left is the angle to it
-    turns = np.angle(c) * order / (2 * np.pi)
-    best_re = np.abs(c) * np.cos(2 * np.pi * (turns - np.rint(turns)) / order)
+    # <act((k, n, m), x), x2> = zeta**m * C[k, n], one inverse FFT per shift
+    # k; row k, x[(k + j) mod N], is a view of x followed by x[:-1]
+    doubled = np.concatenate((x, x[:-1]))
+    rows = as_strided(doubled, (order, order), doubled.strides * 2) * np.conj(x2)[None, :]
+    c = (order * np.fft.ifft(rows, axis=1)).ravel()
+    modulus = np.abs(c)
     sq_x = float(np.vdot(x, x).real)
     sq_x2 = float(np.vdot(x2, x2).real)
-    screen = sq_x + sq_x2 - 2 * best_re
+
+    def screen(pairs):
+        # the best m rounds -arg(C) * N / (2 pi); what is left is the angle to it
+        turns = np.angle(c[pairs]) * order / (2 * np.pi)
+        best_re = modulus[pairs] * np.cos(2 * np.pi * (turns - np.rint(turns)) / order)
+        return sq_x + sq_x2 - 2 * best_re
+
     # rounding of the FFT screen and of the exact norms, relative to
     # (||x|| + ||x2||)**2, plus every squared term of an exact norm
     # flushing to zero; the second exponent is capped where the margin
@@ -117,7 +133,10 @@ def _screen(x: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, float]:
     rel = 64 * (order + np.sqrt(order) * (np.log2(order) + 1) + 1) * eps
     floor = np.ldexp(16.0 * (order + 1), min(-1074 - 2 * e, 1000))
     margin = rel * (np.sqrt(sq_x) + np.sqrt(sq_x2)) ** 2 + floor
-    return screen, margin
+    bound = sq_x + sq_x2 - 2 * np.max(modulus) * np.cos(np.pi / order) + margin
+    pairs = np.flatnonzero(sq_x + sq_x2 - 2 * modulus <= bound + 2 * margin)
+    values = screen(pairs)
+    return pairs[values <= np.min(values) + 2 * margin]
 
 
 def orbit_distance(x, x2) -> tuple[float, GroupElement]:
@@ -128,7 +147,8 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
 
     The inner products <act((k, n, m), x), x2> = zeta**m * C[k, n] take N
     inverse FFTs, one per shift k, and the best phase m for each (k, n) has
-    a closed form; this screens all N**2 pairs (k, n) in O(N**2 log N). The
+    a closed form; this screens all N**2 pairs (k, n) in O(N**2 log N),
+    taking the phase angle only where |C| is near its largest. The
     expanded ||x||**2 + ||x2||**2 - 2 Re form loses precision near zero, so
     every (k, n) whose screen lies within twice the rounding margin of the
     smallest is recomputed exactly, over all m and in lexicographic order,
@@ -143,15 +163,14 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
     if len(x) != len(x2):
         raise OrderMismatch(f"dimensions differ: {len(x)} vs {len(x2)}")
     order = len(x)
-    screen, margin = _screen(x, x2)
-    near = np.argwhere(screen <= np.min(screen) + 2 * margin)
 
     j = np.arange(order)
     phases = np.exp(2j * np.pi * j / order)
     best_dist = np.inf
     best_g = identity(order)
-    for k, n in near:
-        modulated = np.roll(x, -k) * np.exp(2j * np.pi * (n * j) / order)
+    for k, n in (divmod(int(pair), order) for pair in _near_pairs(x, x2)):
+        # np.roll(x, -k) without its call overhead
+        modulated = np.concatenate((x[k:], x[:k])) * np.exp(2j * np.pi * (n * j) / order)
         # all m at once; argmin returns the first minimizer
         diffs = phases[:, None] * modulated[None, :] - x2[None, :]
         dists = np.linalg.norm(diffs, axis=1)

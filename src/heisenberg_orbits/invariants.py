@@ -5,6 +5,11 @@ moduli of a vector and of its Fourier transform; both are blind to the whole
 group action including arbitrary global phases. The degree-N power sum
 x_0^N + ... + x_{N-1}^N is also group-invariant but changes under any phase
 that is not an N-th root of unity, which is what lets it pin the phase later.
+
+A bundle stores each bispectrum as one value per symmetry orbit, the values
+its file holds, and rebuilds the N x N matrix when one is read;
+HeisenbergInvariants.from_matrices is the one way in for a matrix, and it
+refuses one that differs within an orbit.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .errors import OrderMismatch
 from .spectral import (
     DEFAULT_GENERICITY_FLOOR,
     as_complex_vector,
+    checked_integer,
     checked_tolerance,
     dft,
     max_relative_deviation,
@@ -45,30 +51,68 @@ __all__ = [
 class HeisenbergInvariants:
     """Bundle of the three invariant features attached to one signal.
 
-    bm: bispectrum of the squared-modulus vector (N x N complex).
-    bfm: bispectrum of the squared-Fourier-modulus vector (N x N complex).
+    n: the dimension N.
+    bm_values, bfm_values: the bispectra of the squared-modulus and the
+        squared-Fourier-modulus vector, one complex value per symmetry
+        orbit: B[a, b] for each canonical triple (a, b, c) of order n, in
+        the order of _canonical_triples, _orbit_count(n) values each.
     power_sum: the degree-N power sum of the signal entries.
-    n: the dimension N, read off bm.
 
-    Construction raises ValueError unless bm and bfm are square, nonempty and
-    of one shape, or on a non-finite entry.
+    bm and bfm rebuild the N x N matrices from those values. Construction
+    raises ValueError unless n is an integer of at least 1 and each values
+    vector holds _orbit_count(n) entries, or on a non-finite value;
+    from_matrices builds a bundle from two matrices.
     """
 
-    bm: np.ndarray
-    bfm: np.ndarray
+    n: int
+    bm_values: np.ndarray
+    bfm_values: np.ndarray
     power_sum: complex
 
     def __post_init__(self):
-        shape = self.bm.shape
-        if not (len(shape) == 2 and shape[0] == shape[1] >= 1 and self.bfm.shape == shape):
-            raise ValueError("bispectrum matrices must be n x n with n >= 1")
+        n = checked_integer(self.n, 1, "bundle order")
+        object.__setattr__(self, "n", n)
+        count = _orbit_count(n)
+        if not self.bm_values.shape == self.bfm_values.shape == (count,):
+            raise ValueError(f"bispectra of order {n} must hold {count} orbit values each")
         # a nan would pass every screen's `distance > tol` test unnoticed
-        if not all(np.isfinite(v).all() for v in (self.bm, self.bfm, self.power_sum)):
+        values = (self.bm_values, self.bfm_values, self.power_sum)
+        if not all(np.isfinite(v).all() for v in values):
             raise ValueError("bundle entries must be finite")
 
+    @classmethod
+    def from_matrices(cls, bm, bfm, power_sum) -> HeisenbergInvariants:
+        """The bundle of two N x N real bispectra and a power sum.
+
+        Raises ValueError unless bm and bfm are square, nonempty and of one
+        shape with finite entries, and each holds one value per symmetry
+        orbit, so that the stored values rebuild it exactly.
+        """
+        shape = bm.shape
+        if not (len(shape) == 2 and shape[0] == shape[1] >= 1 and bfm.shape == shape):
+            raise ValueError("bispectrum matrices must be n x n with n >= 1")
+        if not all(np.isfinite(v).all() for v in (bm, bfm, power_sum)):
+            raise ValueError("bundle entries must be finite")
+        n = shape[0]
+        triples = _canonical_triples(n)
+        bm_values, bfm_values = bm[triples[0], triples[1]], bfm[triples[0], triples[1]]
+        for name, matrix, values in (("bm", bm, bm_values), ("bfm", bfm, bfm_values)):
+            if not np.array_equal(_scatter(values, n), matrix):
+                raise ValueError(
+                    f"{name} differs within a symmetry orbit, "
+                    "so one entry per orbit would lose data"
+                )
+        return cls(n, bm_values, bfm_values, power_sum)
+
     @property
-    def n(self) -> int:
-        return len(self.bm)
+    def bm(self) -> np.ndarray:
+        """The N x N bispectrum of the squared-modulus vector, a new array."""
+        return _scatter(self.bm_values, self.n)
+
+    @property
+    def bfm(self) -> np.ndarray:
+        """The N x N bispectrum of the squared-Fourier-modulus vector, a new array."""
+        return _scatter(self.bfm_values, self.n)
 
 
 @dataclass(frozen=True)
@@ -105,7 +149,7 @@ def unitary_bispectrum(V) -> np.ndarray:
     For V the transform of a real vector this equals
     V[i] * V[j] * V[(N - i - j) mod N] to rounding, by conjugate symmetry;
     the bundle and the two modulus bispectra take that real form one
-    product per symmetry orbit instead (_real_bispectrum), so that all 12
+    product per symmetry orbit instead (_orbit_values), so that all 12
     of its symmetries hold exactly.
     """
     V = as_complex_vector(V)
@@ -121,13 +165,13 @@ def unitary_bispectrum(V) -> np.ndarray:
 def modulus_bispectrum(x) -> np.ndarray:
     """Bispectrum of the squared-modulus vector of x."""
     y = modulus_vector(x)
-    return _real_bispectrum(_real_spectrum(y))
+    return _scatter(_orbit_values(_real_spectrum(y)), len(y))
 
 
 def fourier_modulus_bispectrum(x) -> np.ndarray:
     """Bispectrum of the squared-Fourier-modulus vector of x."""
     z = fourier_modulus_vector(x)
-    return _real_bispectrum(_real_spectrum(z))
+    return _scatter(_orbit_values(_real_spectrum(z)), len(z))
 
 
 def power_invariant(x) -> complex:
@@ -242,19 +286,18 @@ def _scatter(values: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((values, np.conj(values)))[_orbit_plan(n).gather].reshape(n, n)
 
 
-def _real_bispectrum(V: np.ndarray) -> np.ndarray:
-    """Bispectrum of a real vector from its exactly Hermitian transform V.
+def _orbit_values(V: np.ndarray) -> np.ndarray:
+    """Bispectrum of a real vector from its exactly Hermitian transform V, one value per orbit.
 
-    One product V[a] V[b] V[c] per canonical triple, scattered to its 12
-    positions, so every symmetry holds bit for bit whatever numpy rounds.
+    One product V[a] V[b] V[c] per canonical triple; scattered to its 12
+    positions, every symmetry holds bit for bit whatever numpy rounds.
     """
-    n = len(V)
-    plan = _orbit_plan(n)
+    plan = _orbit_plan(len(V))
     triples = plan.triples
     values = V[triples[0]] * V[triples[1]] * V[triples[2]]
     # V[0] |V[b]|**2 is real for the triples (0, b, -b) that negation fixes
     values[plan.fixed] = values[plan.fixed].real
-    return _scatter(values, n)
+    return values
 
 
 def heisenberg_invariants(x) -> HeisenbergInvariants:
@@ -262,8 +305,9 @@ def heisenberg_invariants(x) -> HeisenbergInvariants:
     x = as_complex_vector(x)
     y_hat, z_hat = _spectra(x)
     return HeisenbergInvariants(
-        bm=_real_bispectrum(y_hat),
-        bfm=_real_bispectrum(z_hat),
+        n=len(x),
+        bm_values=_orbit_values(y_hat),
+        bfm_values=_orbit_values(z_hat),
         power_sum=_power_sum(x),
     )
 
@@ -288,12 +332,17 @@ def is_generic(x, floor: float = DEFAULT_GENERICITY_FLOOR) -> GenericityReport:
 
 
 def bispectra_distance(a: HeisenbergInvariants, b: HeisenbergInvariants) -> float:
-    """Max relative deviation over the two bispectra only (power sum excluded)."""
+    """Max relative deviation over the two bispectra only (power sum excluded).
+
+    Taken over the orbit values: every matrix entry is an orbit value or
+    its conjugate, and conjugating both sides leaves |a - b| and
+    max(|a|, |b|, 1) bit for bit, so this is the max over the N x N matrices.
+    """
     if a.n != b.n:
         raise OrderMismatch(f"bundle dimensions differ: {a.n} vs {b.n}")
     return max(
-        max_relative_deviation(a.bm, b.bm),
-        max_relative_deviation(a.bfm, b.bfm),
+        max_relative_deviation(a.bm_values, b.bm_values),
+        max_relative_deviation(a.bfm_values, b.bfm_values),
     )
 
 

@@ -158,10 +158,11 @@ def recover_orbit(
 
     # an exact zero of |x_j|**2 or |dft(x)_k|**2 can invert to about -1e-16;
     # the replays judge the clipped vectors that the search uses
-    y = np.maximum(invert_real_bispectrum(inv.bm), 0.0)
-    res_bm = max_relative_deviation(inv.bm, unitary_bispectrum(dft(y)))
-    z = np.maximum(invert_real_bispectrum(inv.bfm), 0.0)
-    res_bfm = max_relative_deviation(inv.bfm, unitary_bispectrum(dft(z)))
+    bm, bfm = inv.bm, inv.bfm
+    y = np.maximum(invert_real_bispectrum(bm), 0.0)
+    res_bm = max_relative_deviation(bm, unitary_bispectrum(dft(y)))
+    z = np.maximum(invert_real_bispectrum(bfm), 0.0)
+    res_bfm = max_relative_deviation(bfm, unitary_bispectrum(dft(z)))
 
     y, z = check_energy_balance(y, z)
     if max(res_bm, res_bfm) > recovery_tol:

@@ -5,8 +5,11 @@ are those of real vectors, so 12 symmetries fix each entry (the 6
 permutations of the frequency triple (i, j, -i - j), and negation, which
 conjugates). A bundle stores each once per orbit: B[a, b] for each
 canonical triple (a, b, c) of invariants._canonical_triples, in
-lexicographic order, a little over N**2 / 12 entries per matrix, packed as
-{"dtype": "<c16", "data": base64 of their little-endian complex128 bytes}.
+lexicographic order, a little over N**2 / 12 entries per matrix. Its file
+packs those stored values as they are, as {"dtype": "<c16", "data": base64
+of their little-endian complex128 bytes}, and the reader builds the bundle
+from them; neither forms a matrix, and the writer checks nothing, since a
+matrix enters a bundle only through HeisenbergInvariants.from_matrices.
 That keeps every bit and is not meant for hand editing; the power sum iN
 and every other file keep {"re": ..., "im": ...} numbers. All values
 assume the package-wide transform convention documented in spectral.py. A
@@ -37,7 +40,7 @@ import numpy as np
 from .cyclic import WeightedCyclicInvariants
 from .errors import InputFormatError
 from .group import GroupElement
-from .invariants import HeisenbergInvariants, _canonical_triples, _orbit_count, _scatter
+from .invariants import HeisenbergInvariants, _orbit_count
 from .phase_retrieval import PhaseRetrievalConfig
 from .pipeline import OrbitRecoveryReport
 from .spectral import DEFAULT_RECOVERY_TOL, checked_integer, checked_tolerance
@@ -130,29 +133,19 @@ def group_element_to_json(g: GroupElement) -> dict:
 _PACKED_DTYPE = "<c16"
 
 
-def _orbit_entries_to_json(matrix, name) -> dict:
-    """B[a, b] for each canonical triple (a, b, c), packed.
-
-    ValueError unless those values rebuild matrix.
-    """
-    n = len(matrix)
-    triples = _canonical_triples(n)
-    values = matrix[triples[0], triples[1]]
-    if not np.array_equal(_scatter(values, n), matrix):
-        raise ValueError(
-            f"{name} differs within a symmetry orbit, so one entry per orbit would lose data"
-        )
+def _orbit_values_to_json(values) -> dict:
+    """Canonical-triple values, packed."""
     data = base64.b64encode(values.astype(_PACKED_DTYPE, copy=False).tobytes())
     return {"dtype": _PACKED_DTYPE, "data": data.decode("ascii")}
 
 
-def _orbit_matrix(obj, n, where) -> np.ndarray:
-    """The n x n real bispectrum whose canonical-triple entries obj packs.
+def _orbit_values(obj, n, where) -> np.ndarray:
+    """The canonical-triple values of order n that obj packs, read-only.
 
-    The byte count is checked against the closed-form orbit count first, so
-    a header n that its data does not match builds no table of order n.
+    The byte count is checked against the closed-form orbit count, which
+    needs no table of order n; finiteness is left to the bundle's
+    constructor.
     """
-    where += ", one entry per symmetry orbit"
     if _field(obj, "dtype", where) != _PACKED_DTYPE:
         raise InputFormatError(f"{where}: field 'dtype' must be {_PACKED_DTYPE!r}")
     data = _field(obj, "data", where)
@@ -169,17 +162,14 @@ def _orbit_matrix(obj, n, where) -> np.ndarray:
             f"{where}: field 'data' must hold {count} complex128 values "
             f"({16 * count} bytes), not {len(raw)} bytes"
         )
-    values = np.frombuffer(raw, dtype=_PACKED_DTYPE)
-    if not np.isfinite(values).all():
-        raise InputFormatError(f"{where}: field 'data' must be finite")
-    return _scatter(values, n)
+    return np.frombuffer(raw, dtype=_PACKED_DTYPE)
 
 
 def invariants_to_json(inv: HeisenbergInvariants) -> dict:
     return {
         "n": inv.n,
-        "bm": _orbit_entries_to_json(inv.bm, "bm"),
-        "bfm": _orbit_entries_to_json(inv.bfm, "bfm"),
+        "bm": _orbit_values_to_json(inv.bm_values),
+        "bfm": _orbit_values_to_json(inv.bfm_values),
         "iN": _complex_to_json(inv.power_sum),
     }
 
@@ -187,10 +177,16 @@ def invariants_to_json(inv: HeisenbergInvariants) -> dict:
 def invariants_from_json(obj) -> HeisenbergInvariants:
     where = "invariant bundle"
     n = _int(obj, "n", where, minimum=1)
-    bm = _orbit_matrix(_field(obj, "bm", where), n, where + " (bm)")
-    bfm = _orbit_matrix(_field(obj, "bfm", where), n, where + " (bfm)")
+    places = {name: f"{where} ({name}), one entry per symmetry orbit" for name in ("bm", "bfm")}
+    bm, bfm = (_orbit_values(_field(obj, name, where), n, places[name]) for name in places)
     power = _complex(_field(obj, "iN", where), where + " (iN)")
-    return HeisenbergInvariants(bm=bm, bfm=bfm, power_sum=power)
+    try:
+        return HeisenbergInvariants(n=n, bm_values=bm, bfm_values=bfm, power_sum=power)
+    except ValueError as exc:
+        # n, the counts and iN passed above, so a packed value is not finite;
+        # the constructor's check is the only one on the happy path
+        name = "bm" if not np.isfinite(bm).all() else "bfm"
+        raise InputFormatError(f"{places[name]}: field 'data' must be finite") from exc
 
 
 def weighted_invariants_to_json(inv: WeightedCyclicInvariants) -> dict:

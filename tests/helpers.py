@@ -1,6 +1,7 @@
 """Shared test helpers: sampling, zero padding, oracles and reference loops."""
 
 import base64
+import dataclasses
 import itertools
 
 import numpy as np
@@ -51,7 +52,18 @@ def inconsistent_bm_bundle():
     for i, j in itertools.permutations((1, 2, 3), 2):
         bm[i, j] *= 1.1
         bm[-i, -j] *= 1.1
-    return HeisenbergInvariants(bm=bm, bfm=inv.bfm, power_sum=inv.power_sum)
+    return HeisenbergInvariants.from_matrices(bm, inv.bfm, inv.power_sum)
+
+
+def with_bm_entries(inv, matrix):
+    """inv with bm_values read off matrix at the canonical triples.
+
+    This is what a bundle file carries when it is edited to hold a matrix
+    that no real bispectrum is, such as that of a complex vector, which
+    from_matrices refuses because it differs within a symmetry orbit.
+    """
+    triples = _canonical_triples(inv.n)
+    return dataclasses.replace(inv, bm_values=matrix[triples[0], triples[1]])
 
 
 def bundle_orbit_values(obj, field):

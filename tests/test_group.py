@@ -15,6 +15,7 @@ from heisenberg_orbits import (
     orbit_equivalent,
     sample_random_signal,
 )
+from heisenberg_orbits.group import _near_pairs
 
 from helpers import exhaustive_orbit_distance, generic_signal
 
@@ -140,6 +141,8 @@ def _oracle_pair(kind, n, scale):
     return {
         "constant": (ones, ones),
         "constant-scaled": (ones, 2 * ones),
+        # |C[k, n]| = 1 for every pair, so every pair reaches the recheck
+        "constant-basis": (ones, basis[0]),
         "basis": (basis[0], basis[1 % n]),
         "zero-x": (zeros, x),
         "zero-x2": (x, zeros),
@@ -157,7 +160,7 @@ ORACLE_CASES = (
         (kind, n, 1.0)
         for n in (1, 4, 6, 8)
         for kind in (
-            "constant", "constant-scaled", "basis", "spike-member",
+            "constant", "constant-scaled", "constant-basis", "basis", "spike-member",
             "zero-x", "zero-x2", "zero-both",
         )
     ]
@@ -180,6 +183,12 @@ class TestOrbitOracle:
         with np.errstate(over="ignore"):
             expected = exhaustive_orbit_distance(x, x2)
             assert orbit_distance(x, x2) == expected
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 16])
+    def test_tied_moduli_recheck_every_pair(self, n):
+        # every screen entry ties, so no pair can be left out of the recheck
+        ones = np.ones(n, dtype=complex)
+        assert np.array_equal(_near_pairs(ones, np.eye(n, dtype=complex)[0]), np.arange(n * n))
 
     def test_self_distance(self):
         x = sample_random_signal(4, 8)

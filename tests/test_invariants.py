@@ -1,5 +1,6 @@
 """Invariant features: bispectra, power sum, genericity, distances."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -328,7 +329,48 @@ class TestBundle:
         else:
             values[field][2, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            HeisenbergInvariants(**values)
+            HeisenbergInvariants.from_matrices(**values)
+
+    @pytest.mark.parametrize("field", ["bm_values", "bfm_values", "power_sum"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, field, bad):
+        inv = heisenberg_invariants(generic_signal(5, 205))
+        value = complex(bad) if field == "power_sum" else np.append(getattr(inv, field)[1:], bad)
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(inv, **{field: value})
+
+    @pytest.mark.parametrize("field", ["bm_values", "bfm_values"])
+    def test_values_of_the_wrong_length_rejected(self, field):
+        inv = heisenberg_invariants(generic_signal(5, 205))
+        values = getattr(inv, field)
+        assert len(values) == _orbit_count(5) == 5
+        for wrong in (values[:-1], np.append(values, values[0]), values.reshape(1, -1)):
+            with pytest.raises(ValueError, match="must hold 5 orbit values each"):
+                dataclasses.replace(inv, **{field: wrong})
+        # 6 has 7 canonical triples, so the values of order 5 do not fit it
+        with pytest.raises(ValueError, match="order 6 must hold 7 orbit values"):
+            dataclasses.replace(inv, n=6)
+
+    @pytest.mark.parametrize("n", [0, 5.0, True])
+    def test_order_is_an_integer_of_at_least_one(self, n):
+        inv = heisenberg_invariants(generic_signal(5, 205))
+        with pytest.raises(ValueError, match="bundle order"):
+            dataclasses.replace(inv, n=n)
+
+    def test_matrices_are_the_scatter_of_the_values(self):
+        for n in [*range(1, 65), 128]:
+            inv = heisenberg_invariants(sample_random_signal(n, 600 + n))
+            assert inv.n == n and len(inv.bm_values) == len(inv.bfm_values) == _orbit_count(n)
+            assert inv.bm.tobytes() == reference_scatter(inv.bm_values, n).tobytes(), n
+            assert inv.bfm.tobytes() == reference_scatter(inv.bfm_values, n).tobytes(), n
+
+    def test_from_matrices_keeps_every_bit(self):
+        for n in range(1, 33):
+            inv = heisenberg_invariants(sample_random_signal(n, 600 + n))
+            back = HeisenbergInvariants.from_matrices(inv.bm, inv.bfm, inv.power_sum)
+            assert back.bm_values.tobytes() == inv.bm_values.tobytes(), n
+            assert back.bfm_values.tobytes() == inv.bfm_values.tobytes(), n
+            assert back.power_sum == inv.power_sum
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_degree_homogeneity(self, n):
@@ -408,6 +450,35 @@ class TestInvariantDistance:
         assert invariant_distance(
             heisenberg_invariants(x), heisenberg_invariants(2 * x)
         ) > 0
+
+    def test_orbit_values_give_the_matrix_maximum(self):
+        # the distances compare orbit values; the max over the N x N
+        # matrices, where every entry is a value or its conjugate, is the
+        # same float, for nearby, unrelated and tampered bundles
+        def reference(a, b):
+            bispectra = max(
+                max_relative_deviation(a.bm, b.bm), max_relative_deviation(a.bfm, b.bfm)
+            )
+            power = max_relative_deviation(np.asarray([a.power_sum]), np.asarray([b.power_sum]))
+            return bispectra, max(bispectra, power)
+
+        rng = np.random.default_rng(5)
+        for n in [*range(1, 33), 64]:
+            x = sample_random_signal(n, 800 + n)
+            inv = heisenberg_invariants(x)
+            values = inv.bm_values.copy()
+            values[rng.integers(len(values))] *= 1 + 1e-3j
+            others = (
+                heisenberg_invariants(x + 1e-7 * sample_random_signal(n, 1)),
+                heisenberg_invariants(sample_random_signal(n, 900 + n)),
+                heisenberg_invariants(np.conj(x)),
+                dataclasses.replace(inv, bm_values=values),
+                dataclasses.replace(inv, bfm_values=-inv.bfm_values, power_sum=3.0),
+                inv,
+            )
+            for other in others:
+                for a, b in ((inv, other), (other, inv)):
+                    assert (bispectra_distance(a, b), invariant_distance(a, b)) == reference(a, b)
 
     def test_dimension_mismatch(self):
         a = heisenberg_invariants(sample_random_signal(4, 1))

@@ -1,5 +1,6 @@
 """End-to-end orbit recovery from invariant bundles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ import pytest
 
 from heisenberg_orbits import (
     GroupElement,
-    HeisenbergInvariants,
     InconsistentInvariants,
     NonGenericInput,
     PhaseRetrievalConfig,
@@ -24,7 +24,7 @@ from heisenberg_orbits import (
     verify_against_truth,
 )
 
-from helpers import generic_signal, inconsistent_bm_bundle, zero_padded
+from helpers import generic_signal, inconsistent_bm_bundle, with_bm_entries, zero_padded
 
 BIG_BUDGET = PhaseRetrievalConfig(seed=9, max_restarts=4000)
 
@@ -65,7 +65,7 @@ class TestRecoverOrbit:
     def test_magnitude_tampered_power_sum_rejected(self):
         x = generic_signal(5, 207)
         inv = heisenberg_invariants(x)
-        tampered = HeisenbergInvariants(bm=inv.bm, bfm=inv.bfm, power_sum=1.5 * inv.power_sum)
+        tampered = dataclasses.replace(inv, power_sum=1.5 * inv.power_sum)
         report = recover_orbit(tampered, PhaseRetrievalConfig(seed=1, max_restarts=60))
         assert_all_converged_rejected(report, restarts=60)
         search = report.diagnostics["phase_retrieval"]
@@ -93,9 +93,7 @@ class TestRecoverOrbit:
         # rotated orbit, not the original one
         x = generic_signal(5, 208)
         inv = heisenberg_invariants(x)
-        tampered = HeisenbergInvariants(
-            bm=inv.bm, bfm=inv.bfm, power_sum=np.exp(0.5j * np.pi) * inv.power_sum
-        )
+        tampered = dataclasses.replace(inv, power_sum=np.exp(0.5j * np.pi) * inv.power_sum)
         report = recover_orbit(tampered, BIG_BUDGET)
         assert report.success
         rotated = np.exp(0.5j * np.pi / 5) * x
@@ -162,7 +160,7 @@ class TestRecoverOrbit:
         x = sample_random_signal(5, 209)
         bogus = unitary_bispectrum(dft(x))
         inv = heisenberg_invariants(generic_signal(5, 210))
-        broken = HeisenbergInvariants(bm=bogus, bfm=inv.bfm, power_sum=inv.power_sum)
+        broken = with_bm_entries(inv, bogus)
         with pytest.raises(InconsistentInvariants, match="imaginary residue"):
             recover_orbit(broken)
 
@@ -254,9 +252,7 @@ class TestStageOneRejects:
         inv = heisenberg_invariants(generic_signal(4, 11))
         y = modulus_vector(generic_signal(4, 11))
         v = np.array([y[0] + (1.0 if clipped_sum else 2.0) * y[1], -y[1], y[2], y[3]])
-        bad = HeisenbergInvariants(
-            bm=unitary_bispectrum(dft(v)), bfm=inv.bfm, power_sum=inv.power_sum
-        )
+        bad = with_bm_entries(inv, unitary_bispectrum(dft(v)))
         with pytest.raises(error, match=message):
             recover_orbit(bad)
 

@@ -119,14 +119,21 @@ REJECTIONS = [
     pytest.param(invert_bispectrum, ([[math.nan]],), ValueError, "finite", id="invert-nan"),
     pytest.param(invert_bispectrum, ([[math.inf]],), ValueError, "finite", id="invert-inf"),
     pytest.param(
-        HeisenbergInvariants,
+        HeisenbergInvariants.from_matrices,
         (np.ones((3, 3), complex), np.ones((4, 4), complex), 1.0 + 0j),
         ValueError,
         "n x n",
         id="bundle-bm-shape",
     ),
     pytest.param(
-        HeisenbergInvariants,
+        HeisenbergInvariants.from_matrices,
+        (np.ones((3, 4), complex), np.ones((3, 4), complex), 1.0 + 0j),
+        ValueError,
+        "n x n",
+        id="bundle-not-square",
+    ),
+    pytest.param(
+        HeisenbergInvariants.from_matrices,
         (np.zeros((0, 0), complex), np.zeros((0, 0), complex), 0j),
         ValueError,
         "n >= 1",

@@ -1,6 +1,7 @@
 """JSON round trips and format validation for the shared types."""
 
 import base64
+import hashlib
 import json
 
 import numpy as np
@@ -105,12 +106,23 @@ class TestInvariantBundle:
         zeros = np.array([complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)])
         assert _orbit_count(4) == len(zeros)
         bm, bfm = reference_scatter(zeros, 4), reference_scatter(zeros[::-1], 4)
-        bundles.append(HeisenbergInvariants(bm=bm, bfm=bfm, power_sum=complex(-0.0, -0.0)))
+        bundles.append(HeisenbergInvariants.from_matrices(bm, bfm, complex(-0.0, -0.0)))
         for inv in bundles:
             back = invariants_from_json(json.loads(json.dumps(invariants_to_json(inv))))
             for field in ("bm", "bfm"):
                 assert getattr(back, field).tobytes() == getattr(inv, field).tobytes(), inv.n
             assert np.array([back.power_sum]).tobytes() == np.array([inv.power_sum]).tobytes()
+
+    def test_bundle_text_is_pinned(self):
+        # the JSON text of 64 bundles, byte for byte as the N x N matrix
+        # storage wrote it before the bundle held orbit values
+        digest = hashlib.sha256()
+        for n in range(1, 65):
+            inv = heisenberg_invariants(sample_random_signal(n, 700 + n))
+            digest.update(json.dumps(invariants_to_json(inv)).encode())
+        assert digest.hexdigest() == (
+            "7aa0ac049e7ad82e12ae92a4cc4eaf7fcd8b1b3eade06551bc3f31c989d370af"
+        )
 
     def test_full_layout_rejected(self):
         # the whole N x N matrix, the upper triangle and the orbit lists of
@@ -126,15 +138,16 @@ class TestInvariantBundle:
     @pytest.mark.parametrize("field", ["bm", "bfm"])
     def test_asymmetric_matrix_not_written(self, field):
         # not a real bispectrum: B[2, 1] leaves the value of its transpose,
-        # or B[2, 2] the conjugate of B[1, 1], the entry of the negated triple
+        # or B[2, 2] the conjugate of B[1, 1], the entry of the negated
+        # triple; such a matrix cannot enter a bundle, so no file holds it
         inv = heisenberg_invariants(sample_random_signal(3, 4))
         off_transpose, off_conjugate = (getattr(inv, field).copy() for _ in range(2))
         off_transpose[2, 1] *= 1.5
         off_conjugate[2, 2] = off_conjugate[1, 1]
         for matrix in (off_transpose, off_conjugate):
-            bad = HeisenbergInvariants(**{**vars(inv), field: matrix})
+            matrices = {"bm": inv.bm, "bfm": inv.bfm, field: matrix}
             with pytest.raises(ValueError, match=f"{field} differs within a symmetry orbit"):
-                invariants_to_json(bad)
+                HeisenbergInvariants.from_matrices(**matrices, power_sum=inv.power_sum)
 
     def test_header_order_beyond_the_entries(self):
         # the entry count is checked against the header before any table of
