@@ -9,6 +9,7 @@ multiplication law above.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,57 +87,54 @@ def enumerate_group(order: int) -> list[GroupElement]:
     ]
 
 
+def _unit_scaled(*vectors: np.ndarray) -> tuple[list[np.ndarray], int]:
+    """The vectors divided by 2**e, and e, for the 2**e that puts their largest part in [1/2, 1).
+
+    A part is a real or imaginary part (e is 0 if all are zero). No norm
+    formed in this unit overflows, and the division is exact down to the
+    subnormal range.
+    """
+    largest = np.abs(np.concatenate(vectors).view(np.float64)).max()
+    e = int(np.frexp(largest)[1])
+    return [np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e) for v in vectors], e
+
+
+def _scaled_back(value: float, e: int) -> float:
+    """value * 2**e, rounded once; inf past the float range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.inf
+
+
 def _near_pairs(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """The pairs (k, n) whose screen lies within twice its margin of the smallest, as k N + n.
+    """The pairs (k, n) that can hold the least orbit distance of x and x2.
 
-    The screen approximates min over m of ||act((k, n, m), x) - x2||**2 for
-    every (k, n), with a bound on how far any entry, or the squared norm
-    `orbit_distance` computes exactly, can lie from the true squared
-    distance. Both are in units of 4**-e, where 2**e bounds the largest
-    entry of x and x2, so the screen neither overflows nor underflows. The
-    pairs come in lexicographic order.
-
-    Only pairs that can reach the smallest entry get a screen value. Each
-    entry is ||x||**2 + ||x2||**2 - 2 |C| cos(angle) and, as rounding is
-    monotone, never below ||x||**2 + ||x2||**2 - 2 |C|. The best m leaves
-    an angle of at most pi / N, so the entry at the largest |C| is at most
-    ||x||**2 + ||x2||**2 - 2 max |C| cos(pi / N), and one margin more covers
-    the rounding of both. So a pair whose lower bound exceeds that upper
-    bound by more than twice the margin is not near, and the others select
-    the same pairs, in the same order, as a screen of every pair would.
+    x and x2 come in the unit of _unit_scaled. The squared distance at the
+    best m is ||x||**2 + ||x2||**2 - 2 |C[k, n]| cos(angle), the angle at
+    most pi / N: never below ||x||**2 + ||x2||**2 - 2 |C|, and at the
+    largest |C| at most ||x||**2 + ||x2||**2 - 2 max |C| cos(pi / N). A pair
+    is dropped only if its lower bound exceeds that upper bound by more than
+    three margins. The margin, relative to (||x|| + ||x2||)**2, covers the
+    rounding of the FFT and of the exact norms of `orbit_distance`; as the
+    largest part lies in [1/2, 1) it is at least 16 eps, more than all the
+    squared terms that flush to zero. So every pair whose exact norm can be
+    the least is kept, and so is the pair with the largest |C|; they come as
+    k N + n in lexicographic order.
     """
     order = len(x)
-    largest = np.abs(np.concatenate((x, x2))).max()
-    e = int(np.frexp(largest)[1]) if largest > 0 else 0
-    x = np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e)
-    x2 = np.ldexp(x2.real, -e) + 1j * np.ldexp(x2.imag, -e)
     # <act((k, n, m), x), x2> = zeta**m * C[k, n], one inverse FFT per shift
     # k; row k, x[(k + j) mod N], is a view of x followed by x[:-1]
     doubled = np.concatenate((x, x[:-1]))
     rows = as_strided(doubled, (order, order), doubled.strides * 2) * np.conj(x2)[None, :]
-    c = (order * np.fft.ifft(rows, axis=1)).ravel()
-    modulus = np.abs(c)
+    modulus = np.abs(order * np.fft.ifft(rows, axis=1)).ravel()
     sq_x = float(np.vdot(x, x).real)
     sq_x2 = float(np.vdot(x2, x2).real)
-
-    def screen(pairs):
-        # the best m rounds -arg(C) * N / (2 pi); what is left is the angle to it
-        turns = np.angle(c[pairs]) * order / (2 * np.pi)
-        best_re = modulus[pairs] * np.cos(2 * np.pi * (turns - np.rint(turns)) / order)
-        return sq_x + sq_x2 - 2 * best_re
-
-    # rounding of the FFT screen and of the exact norms, relative to
-    # (||x|| + ||x2||)**2, plus every squared term of an exact norm
-    # flushing to zero; the second exponent is capped where the margin
-    # already exceeds every screen value
     eps = np.finfo(float).eps
     rel = 64 * (order + np.sqrt(order) * (np.log2(order) + 1) + 1) * eps
-    floor = np.ldexp(16.0 * (order + 1), min(-1074 - 2 * e, 1000))
-    margin = rel * (np.sqrt(sq_x) + np.sqrt(sq_x2)) ** 2 + floor
+    margin = rel * (np.sqrt(sq_x) + np.sqrt(sq_x2)) ** 2
     bound = sq_x + sq_x2 - 2 * np.max(modulus) * np.cos(np.pi / order) + margin
-    pairs = np.flatnonzero(sq_x + sq_x2 - 2 * modulus <= bound + 2 * margin)
-    values = screen(pairs)
-    return pairs[values <= np.min(values) + 2 * margin]
+    return np.flatnonzero(sq_x + sq_x2 - 2 * modulus <= bound + 2 * margin)
 
 
 def orbit_distance(x, x2) -> tuple[float, GroupElement]:
@@ -145,29 +143,26 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
     Ties break to the first minimizer in lexicographic (k, n, m) order, so
     the witness is deterministic.
 
-    The inner products <act((k, n, m), x), x2> = zeta**m * C[k, n] take N
-    inverse FFTs, one per shift k, and the best phase m for each (k, n) has
-    a closed form; this screens all N**2 pairs (k, n) in O(N**2 log N),
-    taking the phase angle only where |C| is near its largest. The
-    expanded ||x||**2 + ||x2||**2 - 2 Re form loses precision near zero, so
-    every (k, n) whose screen lies within twice the rounding margin of the
-    smallest is recomputed exactly, over all m and in lexicographic order,
-    and only exact norms pick the minimum and the witness. The screen is
-    scaled by a power of two, so large inputs do not overflow it. For
-    inputs so small that the exact squared norms underflow, the margin
-    widens by that floor until it admits every (k, n), and the recheck
-    becomes the full exhaustive search.
+    Both vectors are divided by one power of two (_unit_scaled) and the
+    distance multiplied back, so 2**k x and 2**k x2 give 2**k times the
+    distance, rounded once, and the same witness; only a distance past the
+    float range reads inf. In that unit, <act((k, n, m), x), x2> =
+    zeta**m * C[k, n] takes N inverse FFTs, and |C| bounds the distance of
+    every pair (k, n) from below (_near_pairs). The pairs it admits include
+    every pair that can hold the minimum, so their exact norms, over all m
+    and in lexicographic order, give the minimum and witness of a loop over
+    every pair; a pair left out has an exact distance above the minimum.
     """
     x = as_complex_vector(x)
     x2 = as_complex_vector(x2)
     if len(x) != len(x2):
         raise OrderMismatch(f"dimensions differ: {len(x)} vs {len(x2)}")
     order = len(x)
+    (x, x2), e = _unit_scaled(x, x2)
 
     j = np.arange(order)
     phases = np.exp(2j * np.pi * j / order)
     best_dist = np.inf
-    best_g = identity(order)
     for k, n in (divmod(int(pair), order) for pair in _near_pairs(x, x2)):
         # np.roll(x, -k) without its call overhead
         modulated = np.concatenate((x[k:], x[:k])) * np.exp(2j * np.pi * (n * j) / order)
@@ -177,17 +172,19 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
         m = int(np.argmin(dists))
         if dists[m] < best_dist:
             best_dist = float(dists[m])
-            best_g = GroupElement(order, k, n, m)
-    return best_dist, best_g
+            best = (k, n, m)
+    return _scaled_back(best_dist, e), GroupElement(order, *best)
 
 
 def within_orbit_tolerance(dist: float, x, tol: float) -> bool:
     """True iff an orbit distance from x is within tol * max(||x||, 1).
 
-    Raises ValueError unless tol is finite and strictly positive, the rule
-    that checked_tolerance applies to every tolerance.
+    ||x|| is formed in the unit of _unit_scaled, so it is inf only past the
+    float range. Raises ValueError unless tol is finite and strictly
+    positive, the rule that checked_tolerance applies to every tolerance.
     """
-    return dist <= checked_tolerance(tol) * max(float(np.linalg.norm(as_complex_vector(x))), 1.0)
+    (x,), e = _unit_scaled(as_complex_vector(x))
+    return dist <= checked_tolerance(tol) * max(_scaled_back(float(np.linalg.norm(x)), e), 1.0)
 
 
 def orbit_equivalent(x, x2, tol: float) -> bool:

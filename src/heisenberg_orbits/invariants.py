@@ -58,7 +58,8 @@ class HeisenbergInvariants:
         the order of _canonical_triples, _orbit_count(n) values each.
     power_sum: the degree-N power sum of the signal entries.
 
-    bm and bfm rebuild the N x N matrices from those values. Construction
+    The bundle keeps read-only complex128 copies of the two values vectors,
+    and bm and bfm rebuild the N x N matrices from them. Construction
     raises ValueError unless n is an integer of at least 1 and each values
     vector holds _orbit_count(n) entries, or on a non-finite value;
     from_matrices builds a bundle from two matrices.
@@ -72,6 +73,11 @@ class HeisenbergInvariants:
     def __post_init__(self):
         n = checked_integer(self.n, 1, "bundle order")
         object.__setattr__(self, "n", n)
+        # neither the caller's array nor a write to the copy reaches a checked bundle
+        for name in ("bm_values", "bfm_values"):
+            stored = np.array(getattr(self, name), dtype=np.complex128)
+            stored.flags.writeable = False
+            object.__setattr__(self, name, stored)
         count = _orbit_count(n)
         if not self.bm_values.shape == self.bfm_values.shape == (count,):
             raise ValueError(f"bispectra of order {n} must hold {count} orbit values each")

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -155,13 +156,20 @@ def min_shift_distance(reference, candidate):
 def exhaustive_orbit_distance(x, x2):
     """Reference oracle: the loop over all N**2 pairs (k, n), every m at once.
 
-    `orbit_distance` must return the same distance float and witness.
+    The loop runs on x and x2 divided by 2**e, where the largest real or
+    imaginary part of either lies in [2**(e-1), 2**e), and the distance is
+    multiplied back by 2**e, so no norm overflows or flushes to zero short
+    of the float range. `orbit_distance` must return the same distance float
+    and witness.
     """
     x = as_complex_vector(x)
     x2 = as_complex_vector(x2)
     if len(x) != len(x2):
         raise OrderMismatch(f"dimensions differ: {len(x)} vs {len(x2)}")
     order = len(x)
+    parts = np.concatenate((x.real, x.imag, x2.real, x2.imag))
+    e = math.frexp(float(np.max(np.abs(parts))))[1]
+    x, x2 = (np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e) for v in (x, x2))
     j = np.arange(order)
     modulations = np.exp(2j * np.pi * np.outer(np.arange(order), j) / order)
     phases = np.exp(2j * np.pi * np.arange(order) / order)
@@ -179,7 +187,9 @@ def exhaustive_orbit_distance(x, x2):
             if dists[m] < best_dist:
                 best_dist = float(dists[m])
                 best_g = GroupElement(order, k, n, m)
-    return best_dist, best_g
+    # a distance past the float range reads inf
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(best_dist, e)), best_g
 
 
 def _reference_residual(x, X, y, z):

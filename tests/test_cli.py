@@ -343,6 +343,19 @@ class TestVerifyCommand:
         write_vector(b, np.exp(1j * np.pi / 8) * x)
         assert main(["verify", str(a), str(b)]) == 1
 
+    def test_verdict_holds_at_large_scale(self, tmp_path, capsys):
+        # unscaled, the squared norms overflow at 2**600, and an unrelated pair passes
+        x = 2.0**600 * generic_signal(4, 8)
+        a, b, c = (tmp_path / f"{name}.json" for name in "abc")
+        write_vector(a, x)
+        write_vector(b, act(GroupElement(4, 1, 2, 3), x))
+        write_vector(c, 2.0**600 * generic_signal(4, 9))
+        assert main(["verify", str(a), str(b)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(a), str(c)]) == 1
+        distance = capsys.readouterr().out.splitlines()[0]
+        assert distance.startswith("distance: ") and np.isfinite(float(distance[10:]))
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

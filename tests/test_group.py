@@ -1,5 +1,7 @@
 """Group law, action, and the exact orbit oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -131,13 +133,21 @@ def _oracle_pair(kind, n, scale):
     if kind == "noisy-member":
         noise = 1e-9 * scale * sample_random_signal(n, 300 + n)
         return x, act(GroupElement(n, 2, 3, 4), x) + noise
-    if kind == "spike-member":
-        # one entry 1e200 times the rest: most exact squared norms overflow
-        x[0] *= 1e200
+    if kind in ("spike-member", "mild-spike-member"):
+        # one entry 1e200 times the rest: in the oracle's unit the squares of
+        # the others flush to zero; at 1e6 every entry stays a normal float
+        # after scaling by 2**-1000 or 2**1000
+        x[0] *= 1e200 if kind == "spike-member" else 1e6
         return x, act(GroupElement(n, 2, 3, 4), x)
     zeros = np.zeros(n, dtype=complex)
     ones = np.ones(n, dtype=complex)
     basis = np.eye(n, dtype=complex)
+    if kind == "worst-phase-tie":
+        # against basis[0], C[k, n] = x[k]: row 0, at its best phase, ties
+        # the largest |C|, row 1, at the worst phase pi / N, so only the
+        # margin keeps the first minimizer in the recheck
+        zeros[:2] = np.cos(np.pi / n), np.exp(1j * np.pi / n)
+        return zeros, basis[0]
     return {
         "constant": (ones, ones),
         "constant-scaled": (ones, 2 * ones),
@@ -147,6 +157,8 @@ def _oracle_pair(kind, n, scale):
         "zero-x": (zeros, x),
         "zero-x2": (x, zeros),
         "zero-both": (zeros, zeros),
+        # the distance 1.5e308 sqrt(N) is past the float range from N = 2
+        "near-float-max": (1.5e308 * ones, zeros),
     }[kind]
 
 
@@ -161,13 +173,14 @@ ORACLE_CASES = (
         for n in (1, 4, 6, 8)
         for kind in (
             "constant", "constant-scaled", "constant-basis", "basis", "spike-member",
-            "zero-x", "zero-x2", "zero-both",
+            "zero-x", "zero-x2", "zero-both", "near-float-max",
         )
     ]
+    + [("worst-phase-tie", n, 1.0) for n in (2, 3, 13, 17)]
     + [
         (kind, n, scale)
         for n in (6, 16)
-        for scale in (1e-200, 1e-160, 1e150, 1e155)
+        for scale in (2.0**-1000, 1e-200, 1e-160, 1e150, 1e155, 2.0**1000)
         for kind in ("random", "member", "noisy-member")
     ]
 )
@@ -178,11 +191,20 @@ class TestOrbitOracle:
         "kind,n,scale", ORACLE_CASES, ids=[f"{k}-N{n}-{s:g}" for k, n, s in ORACLE_CASES]
     )
     def test_matches_exhaustive_reference(self, kind, n, scale):
-        # the same float and witness, ties and overflow or underflow included
+        # the same float and witness, ties and the ends of the float range included
         x, x2 = _oracle_pair(kind, n, scale)
-        with np.errstate(over="ignore"):
-            expected = exhaustive_orbit_distance(x, x2)
-            assert orbit_distance(x, x2) == expected
+        assert orbit_distance(x, x2) == exhaustive_orbit_distance(x, x2)
+
+    @pytest.mark.parametrize("kind", ["random", "member", "noisy-member", "mild-spike-member"])
+    def test_power_of_two_scaling_is_exact(self, kind):
+        # scaling both vectors by 2**k scales the distance by 2**k, rounded
+        # once, and keeps the witness
+        for n in range(1, 17):
+            x, x2 = _oracle_pair(kind, n, 1.0)
+            dist, witness = orbit_distance(x, x2)
+            for k in (-1000, -600, -300, 300, 600, 1000):
+                scaled = orbit_distance(2.0**k * x, 2.0**k * x2)
+                assert scaled == (math.ldexp(dist, k), witness), (n, k)
 
     @pytest.mark.parametrize("n", [1, 4, 7, 16])
     def test_tied_moduli_recheck_every_pair(self, n):
@@ -224,6 +246,13 @@ class TestOrbitEquivalent:
     def test_scaling_leaves_orbit(self):
         x = sample_random_signal(5, 32)
         assert not orbit_equivalent(x, 2 * x, 1e-6)
+
+    @pytest.mark.parametrize("scale", [1e155, 2.0**600], ids=["1e155", "2**600"])
+    def test_verdict_holds_at_large_scale(self, scale):
+        # ||x|| formed from unscaled squares is inf there, and any distance passes it
+        x = scale * sample_random_signal(16, 1)
+        assert not orbit_equivalent(x, scale * sample_random_signal(16, 2), 1e-6)
+        assert orbit_equivalent(x, act(GroupElement(16, 2, 3, 4), x), 1e-6)
 
     def test_root_of_unity_phase_is_orbit(self):
         x = sample_random_signal(6, 33)

@@ -33,7 +33,7 @@ from heisenberg_orbits.invariants import (
     _orbit_plan,
     _scatter,
 )
-from heisenberg_orbits.serialization import invariants_to_json
+from heisenberg_orbits.serialization import invariants_from_json, invariants_to_json
 from heisenberg_orbits.spectral import max_relative_deviation
 
 from helpers import bundle_orbit_values, generic_signal, reference_scatter
@@ -371,6 +371,27 @@ class TestBundle:
             assert back.bm_values.tobytes() == inv.bm_values.tobytes(), n
             assert back.bfm_values.tobytes() == inv.bfm_values.tobytes(), n
             assert back.power_sum == inv.power_sum
+
+    @pytest.mark.parametrize("way", ["heisenberg_invariants", "from_matrices", "file", "replace"])
+    def test_stored_values_are_read_only_copies(self, way):
+        # a nan written into a stored vector would pass every `distance > tol` screen
+        x = generic_signal(5, 205)
+        honest = heisenberg_invariants(x)
+        bm_values = honest.bm_values.copy()
+        inv = {
+            "heisenberg_invariants": lambda: heisenberg_invariants(x),
+            "from_matrices": lambda: HeisenbergInvariants.from_matrices(
+                honest.bm, honest.bfm, honest.power_sum
+            ),
+            "file": lambda: invariants_from_json(invariants_to_json(honest)),
+            "replace": lambda: dataclasses.replace(honest, bm_values=bm_values),
+        }[way]()
+        for field in ("bm_values", "bfm_values"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(inv, field)[1] = np.nan
+        bm_values[1] = np.nan
+        assert inv.bm_values.tobytes() == honest.bm_values.tobytes()
+        assert invariant_distance(inv, honest) == 0.0
 
     @pytest.mark.parametrize("n", [3, 5])
     def test_degree_homogeneity(self, n):
