@@ -179,12 +179,14 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
 def within_orbit_tolerance(dist: float, x, tol: float) -> bool:
     """True iff an orbit distance from x is within tol * max(||x||, 1).
 
-    ||x|| is formed in the unit of _unit_scaled, so it is inf only past the
-    float range. Raises ValueError unless tol is finite and strictly
-    positive, the rule that checked_tolerance applies to every tolerance.
+    Both sides are compared in x's unit of _unit_scaled, or in the plain unit
+    if x is smaller, so an infinite distance never passes. Raises ValueError
+    unless tol is finite and strictly positive (checked_tolerance).
     """
     (x,), e = _unit_scaled(as_complex_vector(x))
-    return dist <= checked_tolerance(tol) * max(_scaled_back(float(np.linalg.norm(x)), e), 1.0)
+    u = max(e, 0)
+    bound = max(_scaled_back(float(np.linalg.norm(x)), e - u), _scaled_back(1.0, -u))
+    return _scaled_back(dist, -u) <= checked_tolerance(tol) * bound
 
 
 def orbit_equivalent(x, x2, tol: float) -> bool:

@@ -150,22 +150,18 @@ def fourier_modulus_vector(x) -> np.ndarray:
 
 
 def unitary_bispectrum(V) -> np.ndarray:
-    """B[i, j] = V[i] * V[j] * conj(V[(i + j) mod N]), exactly symmetric.
+    """B[i, j] = V[i] * V[j] * conj(V[(i + j) mod N]).
 
     For V the transform of a real vector this equals
     V[i] * V[j] * V[(N - i - j) mod N] to rounding, by conjugate symmetry;
     the bundle and the two modulus bispectra take that real form one
-    product per symmetry orbit instead (_orbit_values), so that all 12
-    of its symmetries hold exactly.
+    product per symmetry orbit instead (_orbit_values).
     """
     V = as_complex_vector(V)
     n = len(V)
     i = np.arange(n)[:, None]
     j = np.arange(n)[None, :]
-    # numpy's complex product is not bitwise commutative: B[i, j] = B[j, i]
-    # holds bit for bit only when both take the pair product formed for i <= j
-    pairs = V[i] * V[j]
-    return np.where(i <= j, pairs, pairs.T) * np.conj(V[(i + j) % n])
+    return V[i] * V[j] * np.conj(V[(i + j) % n])
 
 
 def modulus_bispectrum(x) -> np.ndarray:

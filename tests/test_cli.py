@@ -356,6 +356,14 @@ class TestVerifyCommand:
         distance = capsys.readouterr().out.splitlines()[0]
         assert distance.startswith("distance: ") and np.isfinite(float(distance[10:]))
 
+    def test_infinite_distance_rejected(self, tmp_path):
+        # the distance and ||x|| both read inf; an infinite distance never passes
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        write_vector(a, 1.5e308 * np.ones(4))
+        write_vector(b, np.zeros(4))
+        assert main(["verify", str(a), str(b)]) == 1
+
     def test_dimension_mismatch(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -254,6 +254,17 @@ class TestOrbitEquivalent:
         assert not orbit_equivalent(x, scale * sample_random_signal(16, 2), 1e-6)
         assert orbit_equivalent(x, act(GroupElement(16, 2, 3, 4), x), 1e-6)
 
+    def test_infinite_distance_never_passes(self):
+        # the distance and ||x|| both read inf, so only a comparison in x's unit rejects it
+        assert not orbit_equivalent(1.5e308 * np.ones(4), np.zeros(4), 1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    def test_verdict_holds_at_subnormal_scale(self):
+        # in x's own unit the bound max(||x||, 1) overflows, so it is taken in the plain unit
+        x = 5e-324 * np.array([1.0, 2.0, 3.0, 4.0])
+        assert orbit_equivalent(x, np.roll(x, 1), 1e-6)
+        assert not orbit_equivalent(x, np.ones(4), 1e-6)
+
     def test_root_of_unity_phase_is_orbit(self):
         x = sample_random_signal(6, 33)
         assert orbit_equivalent(x, np.exp(2j * np.pi / 6) * x, 1e-6)
