@@ -87,6 +87,11 @@ class TestUnitaryBispectrum:
                 expected = V[i] * V[j] * V[(n - i - j) % n]
                 assert abs(B[i, j] - expected) < 1e-9 * max(abs(expected), 1.0)
 
+    def test_symmetry_for_real_inputs(self):
+        y = np.random.default_rng(9).standard_normal(7)
+        B = unitary_bispectrum(dft(y))
+        np.testing.assert_allclose(B, B.T, rtol=1e-12, atol=1e-12)
+
     @pytest.mark.parametrize("scale", [2.0 ** e for e in range(-2, 3)])
     def test_symmetric_to_rounding(self, scale):
         # B[i, j] = B[j, i] to rounding, for complex and real-transform
