@@ -43,8 +43,8 @@ __all__ = [
 
 ENERGY_BALANCE_TOL = 1e-6
 
-# Gauss-Newton line search: step lengths 1, 1/2, ..., 1/32, tried in order
-LINE_SEARCH_STEPS = 0.5 ** np.arange(6.0)
+# Gauss-Newton line search: step lengths 1, 1/2, ..., 1/32 as a column, tried in order
+LINE_SEARCH_STEPS = 0.5 ** np.arange(6.0)[:, None]
 
 
 @dataclass(frozen=True)
@@ -254,7 +254,9 @@ def newton_magnitude_solve(
     The solve stops at the first iteration whose iterate has residual at
     most residual_target, and evaluates the residual only for an iterate not
     judged before (the start, or one a step has just reached) where
-    _residual_gate allows that.
+    _residual_gate allows that. The line-search trials of a step, and those of
+    the rest of a run of rejected steps, are evaluated as one block each, with
+    the results of the loop that tries one step length at a time.
 
     Raises OrderMismatch when the lengths of y_mag, z_mag and initial_phases
     differ, InconsistentInvariants on a negative magnitude, and ValueError
@@ -276,35 +278,59 @@ def newton_magnitude_solve(
     unchecked = True
     iterations = 0
     stalls = 0
-    for iterations in range(1, max_iterations + 1):
+    levels = 1
+    while iterations < max_iterations:
         if normal is None:
             # d|X_k|^2 / d phi_j = 2*Re(conj(X_k) * i * F_kj * x_j)
             jac = -2.0 * (np.conj(X)[:, None] * forward * x[None, :]).imag
             normal = (jac.T @ jac, -(jac.T @ r))
         jtj, rhs = normal
+        dampings = [damping]
+        while len(dampings) < levels:
+            dampings.append(dampings[-1] * 10.0)
         try:
-            delta = np.linalg.solve(jtj + damping * eye, rhs)
+            if levels == 1:
+                deltas = np.linalg.solve(jtj + damping * eye, rhs)[None]
+            else:
+                # an explicit (levels, n, 1) stack: numpy 1.x reads (n, 1) as stacked vectors
+                lhs = jtj + np.array(dampings)[:, None, None] * eye
+                stacked = np.repeat(rhs[None, :, None], levels, axis=0)
+                deltas = np.linalg.solve(lhs, stacked)[..., 0]
         except np.linalg.LinAlgError:
-            break
-        # all trial phases and exponentials at once, elementwise as one trial
-        # alone; one matvec per trial, since a matmul would round differently
-        cand_phis = phi + LINE_SEARCH_STEPS[:, None] * delta
-        cand_xs = sqrt_y * np.exp(1j * cand_phis)
-        for cand_phi, cand_x in zip(cand_phis, cand_xs):
-            cand_X = forward @ cand_x
-            cand_r = np.abs(cand_X) ** 2 - z
-            cand_cost = _norm(cand_r)
-            if cand_cost < cost:
-                phi, x, X, r, cost = cand_phi, cand_x, cand_X, cand_r, cand_cost
-                damping = max(damping * 0.3, 1e-12)
-                normal = None
-                unchecked = True
+            if levels == 1:
+                iterations += 1
                 break
+            # solve the ladder one level at a time, as the one-step loop does
+            levels = 1
+            continue
+        # Every trial of the block at once, each rounding as it would alone: numpy
+        # runs a stacked matrix @ column as one gemv per column (the 2-D matrix
+        # product is one gemm, which rounds differently), a stacked row @ column
+        # as one dot, and a stacked solve as one LU solve per matrix.
+        cand_phis = phi + LINE_SEARCH_STEPS * deltas[:, None]
+        cand_xs = sqrt_y * np.exp(1j * cand_phis)
+        cand_Xs = (forward @ cand_xs[..., None])[..., 0]
+        cand_rs = np.abs(cand_Xs) ** 2 - z
+        cand_costs = np.sqrt((cand_rs[..., None, :] @ cand_rs[..., :, None])[..., 0, 0])
+        # the first improving (level, step) in loop order; the levels before it were rejected
+        level, step = divmod(int((cand_costs < cost).argmax()), len(LINE_SEARCH_STEPS))
+        if cand_costs[level, step] < cost:
+            phi, x, X = cand_phis[level, step], cand_xs[level, step], cand_Xs[level, step]
+            r, cost = cand_rs[level, step], float(cand_costs[level, step])
+            damping = max(dampings[level] * 0.3, 1e-12)
+            stalls += level
+            iterations += level + 1
+            normal = None
+            unchecked = True
+            levels = 1
         else:
-            damping *= 10.0
-            stalls += 1
+            damping = dampings[-1] * 10.0
+            stalls += levels
+            iterations += levels
             if stalls > 8:
                 break
+            # a rejection keeps the iterate, so the rest of the damping ladder is one block
+            levels = min(9 - stalls, max_iterations - iterations)
         if unchecked and not gate < cost < math.inf:
             unchecked = False
             residual = _magnitude_residual(x, X, y, z)

@@ -250,8 +250,9 @@ def _assert_same(result, reference):
 
 
 class TestSolversMatchReferenceLoops:
-    # the residual gate, the reused normal equations and the batched trials
-    # skip work only: every return value must equal the plain loop's exactly
+    # the residual gate, the reused normal equations, the stacked line-search
+    # trials and the damping ladder solved as one block skip or group work
+    # only: every return value must equal the plain loop's exactly
     @pytest.mark.parametrize("n", list(range(1, 17)) + [17, 21, 25])
     def test_grid(self, n):
         x = _grid_signal(n)
@@ -330,6 +331,60 @@ class TestSolversMatchReferenceLoops:
         assert found[1] == start_residual > 1e-10
         assert found[2] == 1
         _assert_same(found, reference_newton_magnitude_solve(y, z, phases))
+
+    def test_damping_ladder_on_benchmark_starts(self, monkeypatch):
+        # starts drawn as the newton-start benchmark draws them; after a
+        # rejected step the rest of the damping ladder is one stacked solve,
+        # and caps 3, 9 and 14 end runs inside such a ladder. Ladders that
+        # end in an acceptance (a solve follows) and at the stall cap must
+        # both occur, and every return must equal the one-step loop's.
+        real_solve = np.linalg.solve
+        shapes = []
+
+        def recording(a, b):
+            shapes.append(np.shape(a))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        rng = np.random.default_rng(30)
+        ladders = accepted = stalled = 0
+        for n in (8, 10, 12):
+            for s in range(40):
+                x = generic_signal(n, 3000 + 101 * s + n)
+                y, z = modulus_vector(x), fourier_modulus_vector(x)
+                phases = rng.uniform(0, 2 * np.pi, n)
+                for cap in (60, 3, 9, 14):
+                    shapes.clear()
+                    found = newton_magnitude_solve(y, z, phases, cap)
+                    stacked = [i for i, shape in enumerate(shapes) if len(shape) == 3]
+                    assert all(shapes[i][0] >= 2 for i in stacked)
+                    ladders += len(stacked)
+                    accepted += sum(i < len(shapes) - 1 for i in stacked)
+                    stalled += stacked[-1:] == [len(shapes) - 1] and found[2] < cap
+                    _assert_same(found, reference_newton_magnitude_solve(y, z, phases, cap))
+        assert ladders and accepted and stalled
+
+    def test_failed_stacked_solve_falls_back_level_by_level(self, monkeypatch):
+        # when the stacked solve of a ladder fails, its levels are solved one
+        # at a time, as the one-step loop solves them
+        real_solve = np.linalg.solve
+        failed = []
+
+        def no_stacks(a, b):
+            if np.ndim(a) == 3:
+                failed.append(len(a))
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", no_stacks)
+        rng = np.random.default_rng(31)
+        for n in (5, 8, 12):
+            x = generic_signal(n, 310 + n)
+            y, z = modulus_vector(x), fourier_modulus_vector(x)
+            for cap in (60, 9):
+                args = (y, z, rng.uniform(0, 2 * np.pi, n), cap)
+                _assert_same(newton_magnitude_solve(*args), reference_newton_magnitude_solve(*args))
+        assert failed
 
     def test_long_projection_run_on_padded_data(self):
         # the c05 budget on data that determine the signal: residuals are
