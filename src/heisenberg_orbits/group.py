@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import OrderMismatch
+from .invariants import _PLAN_CACHE_ORDERS
 from .spectral import as_complex_vector, checked_integer, checked_tolerance
 
 __all__ = [
@@ -71,7 +72,7 @@ def act(g: GroupElement, x) -> np.ndarray:
     x = as_complex_vector(x)
     if len(x) != g.order:
         raise OrderMismatch(f"vector dimension {len(x)} != group order {g.order}")
-    shifted = np.roll(x, -g.k)
+    shifted = np.concatenate((x[g.k :], x[: g.k]))  # np.roll(x, -k), without its overhead
     j = np.arange(g.order)
     return shifted * np.exp(2j * np.pi * (g.n * j + g.m) / g.order)
 
@@ -87,16 +88,16 @@ def enumerate_group(order: int) -> list[GroupElement]:
     ]
 
 
-def _unit_scaled(*vectors: np.ndarray) -> tuple[list[np.ndarray], int]:
-    """The vectors divided by 2**e, and e, for the 2**e that puts their largest part in [1/2, 1).
+def _unit_scaled(*vectors: np.ndarray) -> tuple[np.ndarray, int]:
+    """The vectors joined and divided by 2**e, and e: 2**e puts their largest part in [1/2, 1).
 
     A part is a real or imaginary part (e is 0 if all are zero). No norm
     formed in this unit overflows, and the division is exact down to the
-    subnormal range.
+    subnormal range. Callers slice each vector back out of the one array.
     """
-    largest = np.abs(np.concatenate(vectors).view(np.float64)).max()
-    e = int(np.frexp(largest)[1])
-    return [np.ldexp(v.real, -e) + 1j * np.ldexp(v.imag, -e) for v in vectors], e
+    parts = np.concatenate(vectors).view(np.float64)
+    e = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -e).view(np.complex128), e
 
 
 def _scaled_back(value: float, e: int) -> float:
@@ -105,6 +106,17 @@ def _scaled_back(value: float, e: int) -> float:
         return math.ldexp(value, e)
     except OverflowError:
         return math.inf
+
+
+@lru_cache(maxsize=_PLAN_CACHE_ORDERS)
+def _oracle_plan(order: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The ramp j, the phases zeta**m as an (N, 1) column, the margin factor of
+    _near_pairs and cos(pi / N): O(N) values per order, cached read-only."""
+    ramp = np.arange(order)
+    phases = np.exp(2j * np.pi * ramp[:, None] / order)
+    ramp.flags.writeable = phases.flags.writeable = False
+    rel = 64 * (order + np.sqrt(order) * (np.log2(order) + 1) + 1) * np.finfo(float).eps
+    return ramp, phases, float(rel), float(np.cos(np.pi / order))
 
 
 def _near_pairs(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -123,18 +135,17 @@ def _near_pairs(x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     k N + n in lexicographic order.
     """
     order = len(x)
+    _, _, rel, cos_step = _oracle_plan(order)
     # <act((k, n, m), x), x2> = zeta**m * C[k, n], one inverse FFT per shift
     # k; row k, x[(k + j) mod N], is a view of x followed by x[:-1]
     doubled = np.concatenate((x, x[:-1]))
-    rows = as_strided(doubled, (order, order), doubled.strides * 2) * np.conj(x2)[None, :]
-    modulus = np.abs(order * np.fft.ifft(rows, axis=1)).ravel()
+    rows = np.ndarray((order, order), doubled.dtype, doubled, 0, doubled.strides * 2)
+    modulus = np.abs(order * np.fft.ifft(rows * np.conj(x2), axis=1)).ravel()
     sq_x = float(np.vdot(x, x).real)
     sq_x2 = float(np.vdot(x2, x2).real)
-    eps = np.finfo(float).eps
-    rel = 64 * (order + np.sqrt(order) * (np.log2(order) + 1) + 1) * eps
-    margin = rel * (np.sqrt(sq_x) + np.sqrt(sq_x2)) ** 2
-    bound = sq_x + sq_x2 - 2 * np.max(modulus) * np.cos(np.pi / order) + margin
-    return np.flatnonzero(sq_x + sq_x2 - 2 * modulus <= bound + 2 * margin)
+    margin = rel * (math.sqrt(sq_x) + math.sqrt(sq_x2)) ** 2
+    bound = sq_x + sq_x2 - 2 * modulus.max() * cos_step + margin
+    return (sq_x + sq_x2 - 2 * modulus <= bound + 2 * margin).nonzero()[0]
 
 
 def orbit_distance(x, x2) -> tuple[float, GroupElement]:
@@ -158,18 +169,18 @@ def orbit_distance(x, x2) -> tuple[float, GroupElement]:
     if len(x) != len(x2):
         raise OrderMismatch(f"dimensions differ: {len(x)} vs {len(x2)}")
     order = len(x)
-    (x, x2), e = _unit_scaled(x, x2)
+    ramp, phases, _, _ = _oracle_plan(order)
+    both, e = _unit_scaled(x, x2)
+    x, x2 = both[:order], both[order:]
 
-    j = np.arange(order)
-    phases = np.exp(2j * np.pi * j / order)
     best_dist = np.inf
-    for k, n in (divmod(int(pair), order) for pair in _near_pairs(x, x2)):
+    for k, n in (divmod(pair, order) for pair in _near_pairs(x, x2).tolist()):
         # np.roll(x, -k) without its call overhead
-        modulated = np.concatenate((x[k:], x[:k])) * np.exp(2j * np.pi * (n * j) / order)
-        # all m at once; argmin returns the first minimizer
-        diffs = phases[:, None] * modulated[None, :] - x2[None, :]
-        dists = np.linalg.norm(diffs, axis=1)
-        m = int(np.argmin(dists))
+        modulated = np.concatenate((x[k:], x[:k])) * np.exp(2j * np.pi * (n * ramp) / order)
+        # all m at once, reduced as np.linalg.norm(axis=1); argmin returns the first minimizer
+        diffs = phases * modulated - x2
+        dists = np.sqrt(np.add.reduce((diffs.conj() * diffs).real, axis=1))
+        m = int(dists.argmin())
         if dists[m] < best_dist:
             best_dist = float(dists[m])
             best = (k, n, m)
@@ -183,7 +194,7 @@ def within_orbit_tolerance(dist: float, x, tol: float) -> bool:
     if x is smaller, so an infinite distance never passes. Raises ValueError
     unless tol is finite and strictly positive (checked_tolerance).
     """
-    (x,), e = _unit_scaled(as_complex_vector(x))
+    x, e = _unit_scaled(as_complex_vector(x))
     u = max(e, 0)
     bound = max(_scaled_back(float(np.linalg.norm(x)), e - u), _scaled_back(1.0, -u))
     return _scaled_back(dist, -u) <= checked_tolerance(tol) * bound

@@ -9,7 +9,7 @@ V for the unknown spectrum:
 2. B[k, 0] = |V[k]|**2 * V[0] gives every magnitude as
    |V[k]| = sqrt(B[k, 0] / V[0]). The magnitudes must pass the genericity rule
    of `is_generic` (a non-positive quotient counts as a vanishing magnitude),
-   and each quotient must be real, or no spectrum has this bispectrum.
+   and each quotient must be finite and real, or no spectrum has this bispectrum.
 3. arg B[1, k] = phi_1 + phi_k - phi_{k+1} turns every phase into
    phi_k = k * t + d_k with d_k accumulated from row B[1, .] and t = phi_1
    unknown; the wrap-around constraint phi_N = phi_0 (mod 2*pi) restricts t
@@ -23,6 +23,7 @@ V for the unknown spectrum:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,14 +67,18 @@ def _march(B) -> np.ndarray:
         raise NonGenericInput("leading bispectrum entry is numerically zero")
     v0 = b00 / abs(b00) ** (2.0 / 3.0)
 
-    power = B[:, 0] / v0
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are rejected below
+        power = B[:, 0] / v0
+    bad = (~np.isfinite(power)).nonzero()[0]
+    if bad.size:
+        raise InconsistentInvariants(f"squared magnitudes overflow at indices {bad.tolist()}")
     mags = np.sqrt(np.maximum(power.real, 0.0))
     low = vanishing_coefficients(mags)
     if low.size:
         raise NonGenericInput(
             f"spectrum magnitudes at or below floor at indices {low.tolist()}"
         )
-    not_real = np.flatnonzero(np.abs(power.imag) > _REL_EQ * np.abs(power))
+    not_real = (np.abs(power.imag) > _REL_EQ * np.abs(power)).nonzero()[0]
     if not_real.size:
         raise InconsistentInvariants(
             f"squared-magnitude estimates are not real at indices {not_real.tolist()}"
@@ -84,15 +89,17 @@ def _march(B) -> np.ndarray:
     # sit exactly on the +-pi branch cut when negative. Snapping near-real
     # values onto the axis keeps the canonical shift choice stable under
     # roundoff, so equal-up-to-shift inputs invert to the same representative.
-    row = np.concatenate(([b00], B[1, 1:] if n > 1 else []))
+    row = B[1 % n].copy()  # B[0, 0] stands in for B[1, 0]; n = 1 has row 0 only
+    row[0] = b00
     angles = np.where(
         np.abs(row.imag) <= _REL_EQ * np.abs(row),
         np.where(row.real >= 0, 0.0, np.pi),
-        np.angle(row),
+        np.arctan2(row.imag, row.real),
     )
     # d[j] holds d_{j+1} of step 3: d_1 = 0 and d_{k+1} = d_k - arg B[1, k]
-    d = np.subtract.accumulate(np.concatenate(([0.0], angles[1:])))
-    t = (angles[0] - d[-1]) / n
+    arg_b00, angles[0] = angles[0], 0.0
+    d = np.subtract.accumulate(angles)
+    t = (arg_b00 - d[-1]) / n
 
     spectrum = np.empty(n, dtype=np.complex128)
     spectrum[0] = v0
@@ -122,7 +129,7 @@ def invert_bispectrum(B) -> InversionResult:
         If |V[0]| or any magnitude estimate is at or below
         DEFAULT_GENERICITY_FLOOR.
     InconsistentInvariants
-        If a squared-magnitude estimate is not real within 1e-9 of its modulus.
+        If a squared-magnitude estimate overflows or is not real within 1e-9 of its modulus.
     """
     B = np.asarray(B, dtype=np.complex128)
     spectrum = _march(B)
@@ -140,9 +147,10 @@ def invert_real_bispectrum(B) -> np.ndarray:
     means the input was not the bispectrum of any real vector. Every error
     of invert_bispectrum is raised on the same inputs, with the same message.
     """
-    signal = idft(_march(B))
-    residue = float(np.max(np.abs(signal.imag)))
-    if residue > _REL_EQ * float(np.linalg.norm(signal)):
+    signal = np.fft.ifft(_march(B))  # a finite spectrum, as idft would check
+    re, im = signal.real, signal.imag
+    residue = float(np.abs(im).max())
+    if residue > _REL_EQ * math.sqrt(re.dot(re) + im.dot(im)):
         raise InconsistentInvariants(
             f"imaginary residue {residue:.3e} too large for a real-vector bispectrum"
         )

@@ -31,6 +31,7 @@ from __future__ import annotations
 import base64
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Any
@@ -102,8 +103,13 @@ def _numbers(obj, key, where, shape=()):
 def _complex(obj, where, shape=()):
     """Complex numbers of `shape` stored as {"re": ..., "im": ...} in obj.
 
-    The parts are copied in, not summed, so a -0.0 part keeps its sign.
+    The parts are copied in, not summed, so a -0.0 part keeps its sign. A
+    number whose parts are JSON ints or floats in the float range skips the array path.
     """
+    if not shape and isinstance(obj, dict):
+        parts = obj.get("re"), obj.get("im")
+        if all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in parts):
+            return complex(float(parts[0]), float(parts[1]))
     values = np.empty(shape, dtype=np.complex128)
     values.real = _numbers(obj, "re", where, shape)
     values.imag = _numbers(obj, "im", where, shape)

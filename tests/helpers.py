@@ -10,6 +10,8 @@ import numpy as np
 from heisenberg_orbits import (
     GroupElement,
     HeisenbergInvariants,
+    InconsistentInvariants,
+    NonGenericInput,
     OrderMismatch,
     heisenberg_invariants,
     identity,
@@ -17,7 +19,12 @@ from heisenberg_orbits import (
     sample_random_signal,
 )
 from heisenberg_orbits.invariants import _canonical_triples
-from heisenberg_orbits.spectral import as_complex_vector, dft_matrix, max_relative_deviation
+from heisenberg_orbits.spectral import (
+    as_complex_vector,
+    dft_matrix,
+    max_relative_deviation,
+    vanishing_coefficients,
+)
 
 
 def generic_signal(n, seed, floor=1e-8):
@@ -129,6 +136,62 @@ def reference_scatter(values, n):
         for p, q in itertools.permutations(range(3), 2):
             out[t[p], t[q]] = value
     return out
+
+
+# the realness threshold of the reference march, relative to a modulus
+_REL_EQ = 1e-9
+
+
+def reference_march(B) -> np.ndarray:
+    """Reference march: steps 1-3 of `inversion`, frozen with its concatenations.
+
+    `invert_bispectrum(B).spectrum` must hold the same bytes, and
+    `invert_real_bispectrum(B)` those of `np.fft.ifft` of it, real part;
+    every rejection but a non-finite squared magnitude raises the same
+    class and message.
+    """
+    B = np.asarray(B, dtype=np.complex128)
+    if B.ndim != 2 or B.shape[0] != B.shape[1] or not B.size or not np.isfinite(B).all():
+        raise ValueError("expected a nonempty square matrix of finite entries")
+    n = B.shape[0]
+
+    b00 = complex(B[0, 0])
+    if vanishing_coefficients(abs(b00) ** (1.0 / 3.0)).size:
+        raise NonGenericInput("leading bispectrum entry is numerically zero")
+    v0 = b00 / abs(b00) ** (2.0 / 3.0)
+
+    power = B[:, 0] / v0
+    mags = np.sqrt(np.maximum(power.real, 0.0))
+    low = vanishing_coefficients(mags)
+    if low.size:
+        raise NonGenericInput(
+            f"spectrum magnitudes at or below floor at indices {low.tolist()}"
+        )
+    not_real = np.flatnonzero(np.abs(power.imag) > _REL_EQ * np.abs(power))
+    if not_real.size:
+        raise InconsistentInvariants(
+            f"squared-magnitude estimates are not real at indices {not_real.tolist()}"
+        )
+
+    # Bispectra of real vectors have structurally real entries (for example
+    # row-one entries proportional to the zero-frequency coefficient), which
+    # sit exactly on the +-pi branch cut when negative. Snapping near-real
+    # values onto the axis keeps the canonical shift choice stable under
+    # roundoff, so equal-up-to-shift inputs invert to the same representative.
+    row = np.concatenate(([b00], B[1, 1:] if n > 1 else []))
+    angles = np.where(
+        np.abs(row.imag) <= _REL_EQ * np.abs(row),
+        np.where(row.real >= 0, 0.0, np.pi),
+        np.angle(row),
+    )
+    # d[j] holds d_{j+1} of step 3: d_1 = 0 and d_{k+1} = d_k - arg B[1, k]
+    d = np.subtract.accumulate(np.concatenate(([0.0], angles[1:])))
+    t = (angles[0] - d[-1]) / n
+
+    spectrum = np.empty(n, dtype=np.complex128)
+    spectrum[0] = v0
+    spectrum[1:] = mags[1:] * np.exp(1j * (np.arange(1, n) * t + d[:-1]))
+    return spectrum
 
 
 def zero_padded(x):

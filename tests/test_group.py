@@ -17,7 +17,8 @@ from heisenberg_orbits import (
     orbit_equivalent,
     sample_random_signal,
 )
-from heisenberg_orbits.group import _near_pairs
+from heisenberg_orbits.group import _near_pairs, _oracle_plan
+from heisenberg_orbits.invariants import _PLAN_CACHE_ORDERS, _orbit_plan
 
 from helpers import exhaustive_orbit_distance, generic_signal
 
@@ -235,6 +236,39 @@ class TestOrbitOracle:
     def test_dimension_mismatch(self):
         with pytest.raises(OrderMismatch):
             orbit_distance(np.ones(3, dtype=complex), np.ones(4, dtype=complex))
+
+
+class TestOraclePlan:
+    """Each order's oracle constants are built once, O(N) of them, and shared read-only."""
+
+    def test_cached_plan_is_a_fresh_construction(self):
+        for n in range(1, 71):
+            plan, fresh = _oracle_plan(n), _oracle_plan.__wrapped__(n)
+            for cached, built in zip(plan, fresh):
+                assert np.array_equal(cached, built) and type(cached) is type(built), n
+            ramp, phases, _, cos_step = plan
+            assert np.array_equal(ramp, np.arange(n)), n
+            assert np.array_equal(phases, np.exp(2j * np.pi * np.arange(n) / n)[:, None]), n
+            assert cos_step == pytest.approx(math.cos(math.pi / n), rel=1e-15), n
+
+    def test_arrays_are_read_only_and_at_most_n_long(self):
+        for n in (1, 2, 12, 64):
+            arrays = [value for value in _oracle_plan(n) if isinstance(value, np.ndarray)]
+            assert len(arrays) == 2
+            for array in arrays:
+                assert array.size <= n
+                with pytest.raises(ValueError, match="read-only"):
+                    array.flat[0] = array.flat[0]
+
+    def test_one_build_per_order(self):
+        assert _oracle_plan(9) is _oracle_plan(9)
+
+    def test_cache_size_is_the_shared_constant(self):
+        for n in range(1, 3 * _PLAN_CACHE_ORDERS):
+            orbit_distance(sample_random_signal(n, n), sample_random_signal(n, n + 1))
+        info = _oracle_plan.cache_info()
+        assert info.maxsize == _orbit_plan.cache_info().maxsize == _PLAN_CACHE_ORDERS
+        assert info.currsize <= _PLAN_CACHE_ORDERS
 
 
 class TestOrbitEquivalent:

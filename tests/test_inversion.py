@@ -8,6 +8,7 @@ from heisenberg_orbits import (
     NonGenericInput,
     dft,
     fourier_modulus_bispectrum,
+    idft,
     invert_bispectrum,
     invert_real_bispectrum,
     is_generic,
@@ -18,7 +19,7 @@ from heisenberg_orbits import (
     unitary_bispectrum,
 )
 
-from helpers import generic_real_signal, generic_signal, min_shift_distance
+from helpers import generic_real_signal, generic_signal, min_shift_distance, reference_march
 
 FLOOR = 1e-8
 
@@ -35,6 +36,14 @@ def turned_magnitude_entry():
     """A real-vector bispectrum with B[1, 0], a squared magnitude, turned off the real axis."""
     B = unitary_bispectrum(dft(generic_real_signal(5, 70)))
     B[1, 0] *= np.exp(0.01j)
+    return B
+
+
+def overflowing_magnitude_entries():
+    """Finite entries whose estimates B[k, 0] / V[0] of |V[k]|**2 overflow at k = 1, 2, 3."""
+    B = np.ones((4, 4), dtype=complex)
+    B[0, 0] = 1e-6
+    B[1:, 0] = 1e308
     return B
 
 
@@ -147,15 +156,19 @@ class TestRealInversionSkipsTheReplay:
     """invert_real_bispectrum is the march of invert_bispectrum without its replay."""
 
     def test_signal_is_the_full_inversion(self):
-        for n in range(1, 41):
+        # both are byte for byte the march that helpers freezes
+        for n in range(1, 65):
             y = generic_real_signal(n, 400 + n)
             x = generic_signal(n, 500 + n)
             bispectra = (
                 unitary_bispectrum(dft(y)), modulus_bispectrum(x), fourier_modulus_bispectrum(x)
             )
             for B in bispectra:
-                full = invert_bispectrum(B).signal.real
-                assert invert_real_bispectrum(B).tobytes() == full.tobytes(), n
+                spectrum = reference_march(B)
+                full = invert_bispectrum(B)
+                assert full.spectrum.tobytes() == spectrum.tobytes(), n
+                assert full.signal.real.tobytes() == idft(spectrum).real.tobytes(), n
+                assert invert_real_bispectrum(B).tobytes() == full.signal.real.tobytes(), n
 
     @pytest.mark.parametrize(
         "make, error",
@@ -168,10 +181,11 @@ class TestRealInversionSkipsTheReplay:
             (lambda: unitary_bispectrum(dft(np.ones(5, dtype=complex))), NonGenericInput),
             (lambda: unitary_bispectrum(dft(with_small_pair(FLOOR / 10))), NonGenericInput),
             (turned_magnitude_entry, InconsistentInvariants),
+            (overflowing_magnitude_entries, InconsistentInvariants),
         ],
         ids=[
             "non-square", "empty", "nan", "inf", "zero-leading", "flat", "below-floor",
-            "complex-magnitude",
+            "complex-magnitude", "overflowing-magnitude",
         ],
     )
     def test_same_rejections(self, make, error):
@@ -180,3 +194,11 @@ class TestRealInversionSkipsTheReplay:
         with pytest.raises(error) as real:
             invert_real_bispectrum(make())
         assert type(real.value) is type(full.value) and str(real.value) == str(full.value)
+        if make is overflowing_magnitude_entries:
+            # the reference warns on the overflow; the march names its indices
+            assert str(full.value) == "squared magnitudes overflow at indices [1, 2, 3]"
+        else:
+            with pytest.raises(error) as reference:
+                reference_march(make())
+            assert type(reference.value) is type(full.value)
+            assert str(reference.value) == str(full.value)

@@ -182,6 +182,39 @@ class TestInvariantBundle:
         with pytest.raises(InputFormatError):
             invariants_from_json(obj)
 
+    @pytest.mark.parametrize("value", [3, -2.5, -0.0], ids=["int", "float", "minus-zero"])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_power_sum_part_decodes_exactly(self, part, value):
+        obj = invariants_to_json(heisenberg_invariants(sample_random_signal(3, 4)))
+        obj["iN"][part] = value
+        power = invariants_from_json(json.loads(json.dumps(obj))).power_sum
+        decoded = power.real if part == "re" else power.imag
+        assert type(power) is complex
+        assert np.array([decoded]).tobytes() == np.array([float(value)]).tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("true", " must hold numbers of shape ()"),
+            ('"1.0"', " must hold numbers of shape ()"),
+            ("null", " must hold numbers of shape ()"),
+            ("[1.0]", " must hold numbers of shape ()"),
+            ("1" + "0" * 400, ": int too large to convert to float"),
+            ("NaN", " must be finite"),
+            ("Infinity", " must be finite"),
+            ("-Infinity", " must be finite"),
+        ],
+        ids=["bool", "string", "null", "list", "huge-int", "nan", "infinity", "minus-infinity"],
+    )
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_power_sum_part_messages(self, part, text, message):
+        # Python's json reads the NaN and Infinity tokens as floats
+        obj = invariants_to_json(heisenberg_invariants(sample_random_signal(3, 4)))
+        obj["iN"][part] = json.loads(text)
+        with pytest.raises(InputFormatError) as error:
+            invariants_from_json(obj)
+        assert str(error.value) == f"invariant bundle (iN): field {part!r}{message}"
+
 
 class TestWeightedInvariants:
     def test_round_trip(self):
