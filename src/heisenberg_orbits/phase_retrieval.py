@@ -292,10 +292,10 @@ def newton_magnitude_solve(
             if levels == 1:
                 deltas = np.linalg.solve(jtj + damping * eye, rhs)[None]
             else:
-                # an explicit (levels, n, 1) stack: numpy 1.x reads (n, 1) as stacked vectors
+                # a (1, n, 1) view: with b.ndim == a.ndim both numpy 1.x and 2.x take
+                # the matrix solve, which broadcasts it over the levels
                 lhs = jtj + np.array(dampings)[:, None, None] * eye
-                stacked = np.repeat(rhs[None, :, None], levels, axis=0)
-                deltas = np.linalg.solve(lhs, stacked)[..., 0]
+                deltas = np.linalg.solve(lhs, rhs[None, :, None])[..., 0]
         except np.linalg.LinAlgError:
             if levels == 1:
                 iterations += 1

@@ -23,7 +23,8 @@ tolerances section only recovery_tol, and any other key is an error.
 Every input is decoded through the same private readers: an integer field is
 a JSON integer (not a bool), a number field holds finite JSON numbers of an
 exact shape, and a packed field holds finite values of an exact count.
-Anything else raises InputFormatError.
+Anything else raises InputFormatError. One reader, _numbers, reads every JSON
+number, and a vector is built only after both of its parts pass it.
 """
 
 from __future__ import annotations
@@ -78,13 +79,15 @@ def _int(obj, key, where, minimum=None) -> int:
 
 
 def _numbers(obj, key, where, shape=()):
-    """Finite JSON numbers of exactly `shape`, as float64.
+    """Finite JSON numbers of exactly `shape`, as float64: the one number reader.
 
-    `()` is one number (returned as a float) and `(n,)` a vector. Strings
-    and bools fail the numeric-dtype check; so do null and integers too
-    large for a float.
+    `()` is one number (returned as a float) and `(n,)` a vector. A JSON int or
+    float in the float range is read directly; on the array path, strings, bools,
+    null and integers too large for a float fail the numeric-dtype check.
     """
     value = _field(obj, key, where)
+    if not shape and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
     try:
         arr = np.asarray(value)
         # numpy keeps integers beyond 64 bits as Python objects
@@ -100,20 +103,9 @@ def _numbers(obj, key, where, shape=()):
     return arr if shape else float(arr)
 
 
-def _complex(obj, where, shape=()):
-    """Complex numbers of `shape` stored as {"re": ..., "im": ...} in obj.
-
-    The parts are copied in, not summed, so a -0.0 part keeps its sign. A
-    number whose parts are JSON ints or floats in the float range skips the array path.
-    """
-    if not shape and isinstance(obj, dict):
-        parts = obj.get("re"), obj.get("im")
-        if all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in parts):
-            return complex(float(parts[0]), float(parts[1]))
-    values = np.empty(shape, dtype=np.complex128)
-    values.real = _numbers(obj, "re", where, shape)
-    values.imag = _numbers(obj, "im", where, shape)
-    return values if shape else complex(values)
+def _complex(obj, where) -> complex:
+    """One complex number stored as {"re": ..., "im": ...} in obj."""
+    return complex(_numbers(obj, "re", where), _numbers(obj, "im", where))
 
 
 def _complex_to_json(values) -> dict:
@@ -128,7 +120,11 @@ def complex_vector_to_json(x) -> dict:
 
 def complex_vector_from_json(obj) -> np.ndarray:
     where = "complex vector"
-    return _complex(obj, where, (_int(obj, "n", where, minimum=1),))
+    shape = (_int(obj, "n", where, minimum=1),)
+    re, im = _numbers(obj, "re", where, shape), _numbers(obj, "im", where, shape)
+    x = re.astype(np.complex128)  # im is copied in, not added, so -0.0 keeps its sign
+    x.imag = im
+    return x
 
 
 def group_element_to_json(g: GroupElement) -> dict:

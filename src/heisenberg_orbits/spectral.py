@@ -98,11 +98,9 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 def cyclic_shift(v, k: int) -> np.ndarray:
-    """Return w with w[j] = v[(j + k) mod N]; preserves the input dtype."""
+    """w[j] = v[(j + k) mod N], for v a nonempty, finite 1-D vector; keeps the dtype of v."""
     arr = np.asarray(v)
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional vector")
-    return np.roll(arr, -checked_integer(k, name="shift"))
+    return np.roll(as_complex_vector(arr, arr.dtype), -checked_integer(k, name="shift"))
 
 
 def principal_nth_root(c, n: int) -> complex:

@@ -407,6 +407,16 @@ class TestVerifyCommand:
         # exit 1 would claim the vectors lie in different orbits
         assert main(["verify", str(a), str(b)]) == 2
 
+    def test_header_beyond_the_entries(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        write_vector(a, sample_random_signal(2, 11))
+        dump_json({"n": 10**12, "re": [1.0], "im": [0.0]}, b)
+        # rejected as input before any array is sized from the header
+        assert main(["verify", str(a), str(b)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestExperimentCommand:
     def test_spec_example_run(self, tmp_path):

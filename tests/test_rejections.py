@@ -178,6 +178,8 @@ REJECTIONS = [
     pytest.param(
         cyclic_shift, (np.ones((2, 2)), 1), ValueError, "one-dimensional", id="shift-matrix"
     ),
+    pytest.param(cyclic_shift, (np.ones(0), 1), ValueError, "nonempty", id="shift-empty"),
+    pytest.param(cyclic_shift, ([1.0, math.nan], 1), ValueError, "finite", id="shift-nan"),
     pytest.param(
         magnitudes_match, (X, ONES3, ONES3, 1e-6), OrderMismatch, "4 vs 3", id="match-lengths"
     ),

@@ -59,11 +59,21 @@ class TestComplexVector:
             # Python's JSON reader accepts these literals; the decoder must not
             json.loads('{"n": 2, "re": [NaN, 1.0], "im": [0.0, 0.0]}'),
             json.loads('{"n": 2, "re": [1.0, -Infinity], "im": [0.0, 0.0]}'),
+            # a header far beyond the entries: no array is sized from it
+            {"n": 10**12, "re": [1.0], "im": [0.0]},
+            {"n": 2**70, "re": [1.0], "im": [0.0]},
         ],
     )
     def test_rejects_malformed(self, obj):
         with pytest.raises(InputFormatError):
             complex_vector_from_json(obj)
+
+    def test_signed_zero_parts_survive(self):
+        obj = {"n": 4, "re": [-0.0, -0.0, 0.0, 0.0], "im": [-0.0, 0.0, -0.0, 0.0]}
+        x = complex_vector_from_json(obj)
+        assert x.dtype == np.complex128
+        assert np.signbit(x.real).tolist() == [True, True, False, False]
+        assert np.signbit(x.imag).tolist() == [True, False, True, False]
 
 
 class TestGroupElement:
