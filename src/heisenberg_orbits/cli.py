@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification negative, 2 input or format error (a
-ValueError too, such as an integer or tolerance argument out of range), 3
-non-generic input, 4 a recovery search that accepted no start, whose report
-is still written, 5 inconsistent data that no signal has. All randomness
-flows from explicit seeds; outputs are byte-identical across repeated runs
-unless --timing is requested. An experiment trial counts as a success only
-when its recovery accepted a candidate and the orbit oracle places it in
-the sampled truth's orbit.
+ValueError too, such as an integer or tolerance argument out of range, and a
+MemoryError, as every array is sized by the input), 3 non-generic input, 4 a
+recovery search that accepted no start, whose report is still written, 5
+inconsistent data that no signal has. All randomness flows from explicit
+seeds; outputs are byte-identical across repeated runs unless --timing is
+requested. An experiment trial counts as a success only when its recovery
+accepted a candidate that the orbit oracle places in the sampled truth's orbit.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputFormatError, OrderMismatch, ValueError, OSError) as exc:
+    except (InputFormatError, OrderMismatch, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InconsistentInvariants as exc:

@@ -2,11 +2,14 @@
 
 For the order-3n cyclic group acting on C^n with the generator multiplying
 coordinate j (1-based) by zeta**(j), zeta = exp(2*pi*i/(3n)), a short chain
-of cubic expressions pins the whole orbit. For the regular representation of
-Z_N on C^N the bispectrum of the spectrum does the same up to cyclic shift.
-A small combinatorial audit counts monomials that survive the global-phase
-weight test, which is what rules out low-degree invariant polynomials of the
-Heisenberg action.
+of cubic expressions pins the whole orbit, and one chain step solves it and
+the weight-(1, 2) circle action. Both solvers raise ValueError on a
+non-finite value, NonGenericInput on a modulus at or below the genericity
+floor, and InconsistentInvariants on data no vector has, at every scale. For
+the regular representation of Z_N on C^N the bispectrum of the spectrum does
+the same up to cyclic shift. A small combinatorial audit counts monomials
+that survive the global-phase weight test, which is what rules out
+low-degree invariant polynomials of the Heisenberg action.
 """
 
 from __future__ import annotations
@@ -80,72 +83,65 @@ def apply_weighted_generator(v, power: int = 1) -> np.ndarray:
 def weighted_invariants(v) -> WeightedCyclicInvariants:
     """Evaluate the invariant chain on v in C^n."""
     v = as_complex_vector(v)
-    n = len(v)
-    a = np.empty(n, dtype=np.complex128)
-    for k in range(1, n):
-        a[k - 1] = v[0] * v[k - 1] * np.conj(v[k])
-    a[n - 1] = v[n - 1] ** 3
-    return WeightedCyclicInvariants(r=float(np.abs(v[0]) ** 2), a=tuple(complex(t) for t in a))
+    a = np.append(v[0] * v[:-1] * np.conj(v[1:]), v[-1] ** 3)
+    return WeightedCyclicInvariants(r=float(np.abs(v[0]) ** 2), a=tuple(a.tolist()))
+
+
+def _chain(r: float, values) -> np.ndarray:
+    """The chain step: v1 = sqrt(r), then v_{k+1} = conj(values[k-1] / (v1 v_k));
+    a coordinate at or below the genericity floor raises NonGenericInput."""
+    v = np.zeros(len(values) + 1, dtype=np.complex128)
+    for k in range(len(v)):
+        v[k] = np.conj(values[k - 1] / (v[0] * v[k - 1])) if k else np.sqrt(r)
+        if vanishing_coefficients(v[k]).size:
+            raise NonGenericInput(f"coordinate {k + 1} is numerically zero")
+    return v
 
 
 def recover_weighted(inv: WeightedCyclicInvariants) -> np.ndarray:
     """Solve the chain forward and return an orbit representative.
 
-    The first coordinate is taken real positive, each next one follows
-    uniquely from the chain, and the leftover circle freedom is pinned by the
-    cube of the last coordinate: the ratio a[n-1] / v_n**3 has unit modulus
-    for consistent data, and the principal (3n)-th root theta of its phase
-    rephases the solution as (theta * v1, theta**2 * v2, ...), landing in
-    the group orbit. A coordinate at or below the genericity floor (the first
-    included) raises NonGenericInput, and a ratio whose modulus is off 1
-    raises InconsistentInvariants, so no root is taken of a vanishing one.
+    The chain step gives v with v1 real positive (NonGenericInput at a
+    coordinate on or below the genericity floor). The cube of the last one
+    pins the leftover circle freedom: a[n-1] / v_n**3 has unit modulus for
+    consistent data, else InconsistentInvariants is raised before any root
+    is taken, and the principal (3n)-th root theta of its phase rephases v
+    as (theta * v1, theta**2 * v2, ...), into the group orbit.
     """
     n = inv.n
-    v = np.zeros(n, dtype=np.complex128)
-    v[0] = np.sqrt(inv.r)
-    for k in range(n):
-        if k:
-            v[k] = np.conj(inv.a[k - 1] / (v[0] * v[k - 1]))
-        if vanishing_coefficients(v[k]).size:
-            raise NonGenericInput(f"coordinate {k + 1} is numerically zero")
-    mu = inv.a[n - 1] / v[n - 1] ** 3
+    v = _chain(inv.r, inv.a[:-1])
+    mu = inv.a[-1] / v[-1] ** 3
     if abs(abs(mu) - 1.0) > CONSISTENCY_TOL:
         raise InconsistentInvariants(
             f"cube value inconsistent with the chain: |mu| = {abs(mu):.8f}"
         )
     theta = principal_nth_root(mu / abs(mu), 3 * n)
-    weights = np.arange(1, n + 1)
-    return v * theta ** weights
+    return v * theta ** np.arange(1, n + 1)
 
 
 def recover_weight12(r1: float, r2: float, a) -> np.ndarray:
-    """Recover (x1, x2) from |x1|**2, |x2|**2 and x1**2 * conj(x2).
+    """Recover (x1, x2) from |x1|**2, |x2|**2 and x1**2 * conj(x2) by the chain step.
 
     This is the circle action with weights 1 and 2; the output is one
     representative, every other solution being (e^{i t} x1, e^{2 i t} x2).
-    A non-finite value raises ValueError, a negative r1 or r2 (a squared
-    modulus no signal has) raises InconsistentInvariants, and a modulus
-    sqrt(r1) or sqrt(r2) at or below the genericity floor raises
-    NonGenericInput.
+    In order: a non-finite value raises ValueError, a negative r1 or r2
+    InconsistentInvariants, a modulus sqrt(r1) or sqrt(r2) at or below the
+    genericity floor NonGenericInput, and r2 off |a|**2 / r1**2, the |x2|**2
+    that a implies, InconsistentInvariants at every scale.
     """
     if not np.all(np.isfinite((r1, r2, a))):
         raise ValueError("r1, r2 and a must be finite")
     if r1 < 0 or r2 < 0:
-        raise InconsistentInvariants(
-            f"squared moduli must be nonnegative, got r1 = {r1}, r2 = {r2}"
-        )
-    moduli = np.sqrt((r1, r2))
-    if vanishing_coefficients(moduli).size:
+        raise InconsistentInvariants(f"squared moduli must be nonnegative: r1 = {r1}, r2 = {r2}")
+    m1, m2 = math.sqrt(r1), math.sqrt(r2)
+    if vanishing_coefficients((m1, m2)).size:
         raise NonGenericInput("both coordinates must be nonvanishing")
     a = complex(a)
-    expected = r1 * r1 * r2
-    if abs(abs(a) ** 2 - expected) > CONSISTENCY_TOL * max(abs(a) ** 2, expected):
-        raise InconsistentInvariants(
-            f"|a|**2 = {abs(a) ** 2:.6e} does not match r1**2 * r2 = {expected:.6e}"
-        )
-    x1 = complex(moduli[0])
-    x2 = np.conj(a / x1 ** 2)
-    return np.array([x1, x2], dtype=np.complex128)
+    # |a| / (r1 sqrt(r2)) from the parts of a: no step overflows within the tolerance
+    ratio = math.hypot(a.real / m1, a.imag / m1) / m1 / m2
+    if not 1 - CONSISTENCY_TOL <= ratio * ratio <= 1 / (1 - CONSISTENCY_TOL):
+        raise InconsistentInvariants(f"|a|**2 / r1**2 is {ratio * ratio:.6e} times r2")
+    return _chain(r1, (a,))
 
 
 def recover_cyclic_orbit(x) -> np.ndarray:

@@ -21,6 +21,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InconsistentInvariants, OrderMismatch
+from .group import _scaled_back
 from .spectral import (
     as_complex_vector,
     checked_integer,
@@ -99,15 +100,18 @@ def check_energy_balance(y_mag, z_mag):
     """Validate magnitude inputs and enforce sum(y) = sum(z)/N.
 
     Returns the validated pair; raises InconsistentInvariants when no signal
-    can realize the data.
+    can realize the data. Both sums are taken in one power-of-two unit, 2**e
+    with the largest entry in [2**(e-1), 2**e), so neither overflows.
     """
     y, z = _validated_magnitudes(y_mag, z_mag)
-    energy_time = float(np.sum(y))
-    energy_freq = float(np.sum(z)) / len(y)
+    e = math.frexp(max(y.max(), z.max()))[1]
+    energy_time = float(np.sum(np.ldexp(y, -e)))
+    energy_freq = float(np.sum(np.ldexp(z, -e))) / len(y)
     scale = max(energy_time, energy_freq)
     if scale > 0 and abs(energy_time - energy_freq) > ENERGY_BALANCE_TOL * scale:
         raise InconsistentInvariants(
-            f"energy balance violated: sum(y)={energy_time:.6e} vs sum(z)/N={energy_freq:.6e}"
+            f"energy balance violated: sum(y)={_scaled_back(energy_time, e):.6e}"
+            f" vs sum(z)/N={_scaled_back(energy_freq, e):.6e}"
         )
     return y, z
 

@@ -15,7 +15,7 @@ from heisenberg_orbits import (
     sample_random_signal,
 )
 from heisenberg_orbits import errors
-from heisenberg_orbits.cli import main
+from heisenberg_orbits.cli import CSV_HEADER, main
 from heisenberg_orbits.invariants import _canonical_triples
 from heisenberg_orbits.serialization import (
     complex_vector_from_json,
@@ -525,6 +525,21 @@ class TestExperimentCommand:
         dump_json({"n_values": [3], "trials": 1, "seed": 1}, spec_path)
         out_path = tmp_path / "missing" / "o.csv"
         assert main(["experiment", str(spec_path), str(out_path)]) == 2
+
+    def test_input_too_large_to_hold(self, tmp_path, monkeypatch, capsys):
+        # every array is sized by the input, so a dimension the machine cannot
+        # hold is an input error, not exit 1 ("not in the same orbit")
+        def no_memory(n, seed):
+            raise MemoryError(f"cannot allocate {n} entries")
+
+        monkeypatch.setattr("heisenberg_orbits.cli.sample_random_signal", no_memory)
+        spec_path = tmp_path / "spec.json"
+        out_path = tmp_path / "o.csv"
+        dump_json({"n_values": [10**12], "trials": 1, "seed": 1}, spec_path)
+        assert main(["experiment", str(spec_path), str(out_path)]) == 2
+        assert capsys.readouterr().err == "error: cannot allocate 1000000000000 entries\n"
+        # the output is opened before the first trial, so the header stays
+        assert out_path.read_text() == ",".join(CSV_HEADER) + "\n"
 
     def test_malformed_spec(self, tmp_path, capsys):
         base = {"n_values": [3], "trials": 1, "seed": 1}

@@ -57,6 +57,16 @@ class TestWeightedInvariants:
             for a, b in zip(moved.a, inv.a):
                 assert abs(a - b) < 1e-9 * max(abs(b), 1.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 39])
+    def test_matches_the_loop(self, n):
+        # one array expression in place of the per-entry loop; numpy's array
+        # complex multiply rounds differently, by a few ulp at most
+        rng = np.random.default_rng(n)
+        v = 10.0 ** rng.uniform(-3, 3) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        loop = [v[0] * v[k - 1] * np.conj(v[k]) for k in range(1, n)] + [v[-1] ** 3]
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(weighted_invariants(v).a, loop, rtol=4 * eps, atol=0)
+
     def test_zero_first_coordinate(self):
         inv = weighted_invariants(np.array([0.0, 3.0], dtype=complex))
         assert inv.r == 0.0
@@ -132,6 +142,12 @@ class TestRecoverWeight12:
         x1, x2 = 1e-5, 0.8 + 0.3j
         cand = recover_weight12(x1 ** 2, abs(x2) ** 2, x1 ** 2 * np.conj(x2))
         np.testing.assert_allclose(cand, [x1, x2], rtol=1e-12)
+
+    def test_large_scale_recovered(self):
+        # the invariants of (1e100, 1e100): |a|**2 = 1e600 is past the float
+        # range, but the check of r2 never forms it
+        cand = recover_weight12(1e200, 1e200, 1e300)
+        np.testing.assert_allclose(cand, [1e100, 1e100], rtol=1e-15)
 
     def test_separation_up_to_circle_weighting(self):
         rng = np.random.default_rng(11)

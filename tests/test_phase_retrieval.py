@@ -18,6 +18,7 @@ from heisenberg_orbits import (
     retrieve_phase,
     sample_random_signal,
 )
+from heisenberg_orbits.phase_retrieval import check_energy_balance
 from heisenberg_orbits.spectral import dft_matrix, max_relative_deviation
 
 from helpers import (
@@ -102,9 +103,10 @@ class TestRetrievePhase:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_frequency_side_fails(self):
-        # |X_0|**2 of the first start overflows, so its frequency deviation
-        # is inf / inf; the residual keeps that nan, and no start can succeed
-        y, z = [1e308, 1e308], [1.79e308, 0.0]
+        # sqrt(4e307) * (1, 1, 1, -1) has these magnitudes, but |X_3|**2 of
+        # the first start overflows, so its frequency deviation is inf / inf;
+        # the residual keeps that nan, and no start succeeds
+        y, z = [4e307] * 4, [1.6e308] * 4
         report = retrieve_phase(y, z)
         assert not report.success
         assert np.isnan(report.residual)
@@ -113,6 +115,18 @@ class TestRetrievePhase:
     def test_parseval_violation(self):
         with pytest.raises(InconsistentInvariants):
             retrieve_phase(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
+
+    def test_overflowing_energy_is_compared(self):
+        # sum(y) is past the float range; in one power-of-two unit the two
+        # energies are still compared, without an overflow warning
+        with pytest.raises(InconsistentInvariants, match="energy balance"):
+            check_energy_balance([1e308, 1e308], [1.0, 1.0])
+
+    def test_consistent_energy_past_the_float_range(self):
+        # a scaled delta: sum(z) = 4e308 overflows, but the energies balance
+        y, z = check_energy_balance([1e308, 0.0, 0.0, 0.0], [1e308] * 4)
+        np.testing.assert_array_equal(y, [1e308, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(z, [1e308] * 4)
 
     def test_negative_magnitudes_rejected(self):
         with pytest.raises(InconsistentInvariants):

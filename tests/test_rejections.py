@@ -10,6 +10,7 @@ import pytest
 from heisenberg_orbits import (
     GroupElement,
     HeisenbergInvariants,
+    InconsistentInvariants,
     OrbitRecoveryReport,
     OrderMismatch,
     PhaseRetrievalConfig,
@@ -157,6 +158,16 @@ REJECTIONS = [
     pytest.param(
         recover_weight12, (1.0, 1.0, complex(0, math.nan)), ValueError, "finite",
         id="weight12-a-nan",
+    ),
+    # r2 is checked against the |a|**2 / r1**2 that a implies at any scale,
+    # here where |a|**2 or r1**2 * r2 lies past the float range
+    pytest.param(
+        recover_weight12, (1e200, 1e200, 1e305), InconsistentInvariants, "times r2",
+        id="weight12-r2-off-at-large-scale",
+    ),
+    pytest.param(
+        recover_weight12, (1e150, 1e10, 1.0), InconsistentInvariants, "times r2",
+        id="weight12-r1-squared-overflows",
     ),
     pytest.param(degree_audit, (1, 1), ValueError, "order", id="degree_audit-order-1"),
     pytest.param(degree_audit, (3, 0), ValueError, "degree", id="degree_audit-degree-0"),
