@@ -22,12 +22,8 @@ from .cyclic import *
 
 __version__ = "0.1.0"
 
-__all__ = []
-__all__ += errors.__all__
-__all__ += spectral.__all__
-__all__ += group.__all__
-__all__ += invariants.__all__
-__all__ += inversion.__all__
-__all__ += phase_retrieval.__all__
-__all__ += pipeline.__all__
-__all__ += cyclic.__all__
+__all__ = [
+    name
+    for mod in (errors, spectral, group, invariants, inversion, phase_retrieval, pipeline, cyclic)
+    for name in mod.__all__
+]

@@ -5,11 +5,12 @@ coordinate j (1-based) by zeta**(j), zeta = exp(2*pi*i/(3n)), a short chain
 of cubic expressions pins the whole orbit, and one chain step solves it and
 the weight-(1, 2) circle action. Both solvers raise ValueError on a
 non-finite value, NonGenericInput on a modulus at or below the genericity
-floor, and InconsistentInvariants on data no vector has, at every scale. For
-the regular representation of Z_N on C^N the bispectrum of the spectrum does
-the same up to cyclic shift. A small combinatorial audit counts monomials
-that survive the global-phase weight test, which is what rules out
-low-degree invariant polynomials of the Heisenberg action.
+floor, and InconsistentInvariants on data no vector has, at every scale,
+and on a coordinate or last cube past the float range. For the regular
+representation of Z_N on C^N the bispectrum of the spectrum does the same
+up to cyclic shift. A small combinatorial audit counts monomials that
+survive the global-phase weight test, which is what rules out low-degree
+invariant polynomials of the Heisenberg action.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import InconsistentInvariants, NonGenericInput
 from .inversion import _march
 from .invariants import unitary_bispectrum
 from .spectral import (
+    CONSISTENCY_TOL,
     as_complex_vector,
     checked_integer,
     dft,
@@ -40,9 +42,6 @@ __all__ = [
     "recover_cyclic_orbit",
     "degree_audit",
 ]
-
-CONSISTENCY_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class WeightedCyclicInvariants:
@@ -88,33 +87,35 @@ def weighted_invariants(v) -> WeightedCyclicInvariants:
 
 
 def _chain(r: float, values) -> np.ndarray:
-    """The chain step: v1 = sqrt(r), then v_{k+1} = conj(values[k-1] / (v1 v_k));
-    a coordinate at or below the genericity floor raises NonGenericInput."""
+    """The chain step: v1 = sqrt(r), then v_{k+1} = conj(values[k-1] / (v1 v_k)); a
+    coordinate past the float range raises InconsistentInvariants, one at or
+    below the genericity floor NonGenericInput."""
     v = np.zeros(len(values) + 1, dtype=np.complex128)
-    for k in range(len(v)):
-        v[k] = np.conj(values[k - 1] / (v[0] * v[k - 1])) if k else np.sqrt(r)
-        if vanishing_coefficients(v[k]).size:
-            raise NonGenericInput(f"coordinate {k + 1} is numerically zero")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(v)):
+            v[k] = np.conj(values[k - 1] / (v[0] * v[k - 1])) if k else np.sqrt(r)
+            if not np.isfinite(v[k]):
+                raise InconsistentInvariants(f"coordinate {k + 1} overflows the float range")
+            if vanishing_coefficients(v[k]).size:
+                raise NonGenericInput(f"coordinate {k + 1} is numerically zero")
     return v
 
 
 def recover_weighted(inv: WeightedCyclicInvariants) -> np.ndarray:
     """Solve the chain forward and return an orbit representative.
 
-    The chain step gives v with v1 real positive (NonGenericInput at a
-    coordinate on or below the genericity floor). The cube of the last one
-    pins the leftover circle freedom: a[n-1] / v_n**3 has unit modulus for
-    consistent data, else InconsistentInvariants is raised before any root
-    is taken, and the principal (3n)-th root theta of its phase rephases v
-    as (theta * v1, theta**2 * v2, ...), into the group orbit.
+    The chain step gives v with v1 real positive, or raises as _chain says. The
+    cube of the last one pins the leftover circle freedom: a[n-1] / v_n**3 has
+    unit modulus for consistent data, else (an overflow too) InconsistentInvariants
+    is raised before any root is taken, and the principal (3n)-th root theta of its
+    phase rephases v as (theta * v1, theta**2 * v2, ...), into the group orbit.
     """
     n = inv.n
     v = _chain(inv.r, inv.a[:-1])
-    mu = inv.a[-1] / v[-1] ** 3
-    if abs(abs(mu) - 1.0) > CONSISTENCY_TOL:
-        raise InconsistentInvariants(
-            f"cube value inconsistent with the chain: |mu| = {abs(mu):.8f}"
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = inv.a[-1] / v[-1] ** 3
+    if not abs(abs(mu) - 1.0) <= CONSISTENCY_TOL:  # a nan mu fails too
+        raise InconsistentInvariants(f"cube of coordinate {n} inconsistent: |mu| = {abs(mu):.8f}")
     theta = principal_nth_root(mu / abs(mu), 3 * n)
     return v * theta ** np.arange(1, n + 1)
 

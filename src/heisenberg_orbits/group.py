@@ -16,8 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OrderMismatch
-from .invariants import _PLAN_CACHE_ORDERS
-from .spectral import as_complex_vector, checked_integer, checked_tolerance
+from .spectral import (_PLAN_CACHE_ORDERS, _scaled_back, _unit_scaled, as_complex_vector,
+                       checked_integer, checked_tolerance)
 
 __all__ = [
     "GroupElement",
@@ -86,26 +86,6 @@ def enumerate_group(order: int) -> list[GroupElement]:
         for n in range(order)
         for m in range(order)
     ]
-
-
-def _unit_scaled(*vectors: np.ndarray) -> tuple[np.ndarray, int]:
-    """The vectors joined and divided by 2**e, and e: 2**e puts their largest part in [1/2, 1).
-
-    A part is a real or imaginary part (e is 0 if all are zero). No norm
-    formed in this unit overflows, and the division is exact down to the
-    subnormal range. Callers slice each vector back out of the one array.
-    """
-    parts = np.concatenate(vectors).view(np.float64)
-    e = math.frexp(np.abs(parts).max())[1]
-    return np.ldexp(parts, -e).view(np.complex128), e
-
-
-def _scaled_back(value: float, e: int) -> float:
-    """value * 2**e, rounded once; inf past the float range."""
-    try:
-        return math.ldexp(value, e)
-    except OverflowError:
-        return math.inf
 
 
 @lru_cache(maxsize=_PLAN_CACHE_ORDERS)

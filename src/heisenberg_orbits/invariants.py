@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import OrderMismatch
 from .spectral import (
+    _PLAN_CACHE_ORDERS,
     DEFAULT_GENERICITY_FLOOR,
     as_complex_vector,
     checked_integer,
@@ -206,10 +207,6 @@ def _spectra(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # The six ordered pairs (p, q) of distinct positions in a triple, as p and q rows
 _FIRST, _SECOND = np.array([(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)]).T
-
-# Orders whose orbit plan stays cached; a plan takes about two thirds of the
-# memory of an n x n complex matrix, and a run works at a handful of orders
-_PLAN_CACHE_ORDERS = 8
 
 
 def _orbit_count(n: int) -> int:

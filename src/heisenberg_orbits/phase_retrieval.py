@@ -21,8 +21,10 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InconsistentInvariants, OrderMismatch
-from .group import _scaled_back
 from .spectral import (
+    CONSISTENCY_TOL,
+    _scaled_back,
+    _unit_scaled,
     as_complex_vector,
     checked_integer,
     checked_tolerance,
@@ -41,8 +43,6 @@ __all__ = [
     "newton_magnitude_solve",
     "retrieve_phase",
 ]
-
-ENERGY_BALANCE_TOL = 1e-6
 
 # Gauss-Newton line search: step lengths 1, 1/2, ..., 1/32 as a column, tried in order
 LINE_SEARCH_STEPS = 0.5 ** np.arange(6.0)[:, None]
@@ -100,15 +100,14 @@ def check_energy_balance(y_mag, z_mag):
     """Validate magnitude inputs and enforce sum(y) = sum(z)/N.
 
     Returns the validated pair; raises InconsistentInvariants when no signal
-    can realize the data. Both sums are taken in one power-of-two unit, 2**e
-    with the largest entry in [2**(e-1), 2**e), so neither overflows.
+    can realize the data. Both sums are taken in the power-of-two unit of
+    _unit_scaled, with the largest entry in [1/2, 1), so neither overflows.
     """
     y, z = _validated_magnitudes(y_mag, z_mag)
-    e = math.frexp(max(y.max(), z.max()))[1]
-    energy_time = float(np.sum(np.ldexp(y, -e)))
-    energy_freq = float(np.sum(np.ldexp(z, -e))) / len(y)
-    scale = max(energy_time, energy_freq)
-    if scale > 0 and abs(energy_time - energy_freq) > ENERGY_BALANCE_TOL * scale:
+    both, e = _unit_scaled(y, z)
+    energy_time = float(np.sum(both[: len(y)]))
+    energy_freq = float(np.sum(both[len(y) :])) / len(y)
+    if abs(energy_time - energy_freq) > CONSISTENCY_TOL * max(energy_time, energy_freq):
         raise InconsistentInvariants(
             f"energy balance violated: sum(y)={_scaled_back(energy_time, e):.6e}"
             f" vs sum(z)/N={_scaled_back(energy_freq, e):.6e}"

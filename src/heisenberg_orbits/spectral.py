@@ -1,4 +1,4 @@
-"""Complex-vector arithmetic: transforms, shifts, root extraction, sampling.
+"""Complex-vector arithmetic (transforms, shifts, roots, sampling) and the shared numeric rules.
 
 The discrete Fourier transform convention is fixed package-wide: the forward
 transform is unnormalized, X[k] = sum_j x[j] * exp(-2*pi*i*j*k/N), and the
@@ -27,6 +27,10 @@ __all__ = [
 
 DEFAULT_GENERICITY_FLOOR = 1e-8
 DEFAULT_RECOVERY_TOL = 1e-6
+# the relative tolerance of every check that data are those of some vector
+CONSISTENCY_TOL = 1e-6
+# orders whose per-order plans stay cached (an orbit plan is 2/3 of an n x n complex matrix)
+_PLAN_CACHE_ORDERS = 8
 
 
 def checked_tolerance(tol) -> float:
@@ -64,6 +68,27 @@ def vanishing_coefficients(V, floor: float = DEFAULT_GENERICITY_FLOOR) -> np.nda
     this, so they agree on which values vanish.
     """
     return np.flatnonzero(np.abs(V) <= floor)
+
+
+def _unit_scaled(*vectors: np.ndarray) -> tuple[np.ndarray, int]:
+    """The vectors joined and divided by 2**e, and e: 2**e puts their largest part in [1/2, 1).
+
+    A part is a real entry or a real or imaginary part (e is 0 if all are zero),
+    and the dtype is kept. No sum or norm formed in this unit overflows, and the
+    division is exact down to the subnormal range. Callers slice the vectors out.
+    """
+    joined = np.concatenate(vectors)
+    parts = joined.view(np.float64)
+    e = math.frexp(np.abs(parts).max())[1]
+    return np.ldexp(parts, -e).view(joined.dtype), e
+
+
+def _scaled_back(value: float, e: int) -> float:
+    """value * 2**e, rounded once; inf past the float range."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.inf
 
 
 def as_complex_vector(x, dtype=np.complex128) -> np.ndarray:

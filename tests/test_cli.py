@@ -645,6 +645,18 @@ class TestCyclicCommand:
         )
         assert main(["cyclic", "recover-weighted", str(inv_path), str(tmp_path / "v.json")]) == 3
 
+    def test_recover_weighted_overflow(self, tmp_path, capsys):
+        # v2 = 1e300 / 1e-10 lies past the float range: no vector has this chain
+        inv_path = tmp_path / "wi.json"
+        out_path = tmp_path / "v.json"
+        dump_json(
+            {"n": 2, "r": 1e-10, "a": [{"re": 1e300, "im": 0.0}, {"re": 1.0, "im": 0.0}]},
+            inv_path,
+        )
+        assert main(["cyclic", "recover-weighted", str(inv_path), str(out_path)]) == 5
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_path.exists()
+
     def test_recover_regular(self, tmp_path):
         x = np.array([2, 1j, 1])
         src = tmp_path / "x.json"

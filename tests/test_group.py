@@ -18,7 +18,8 @@ from heisenberg_orbits import (
     sample_random_signal,
 )
 from heisenberg_orbits.group import _near_pairs, _oracle_plan
-from heisenberg_orbits.invariants import _PLAN_CACHE_ORDERS, _orbit_plan
+from heisenberg_orbits.invariants import _orbit_plan
+from heisenberg_orbits.spectral import _PLAN_CACHE_ORDERS
 
 from helpers import exhaustive_orbit_distance, generic_signal
 

@@ -27,14 +27,13 @@ from heisenberg_orbits import (
     unitary_bispectrum,
 )
 from heisenberg_orbits.invariants import (
-    _PLAN_CACHE_ORDERS,
     _canonical_triples,
     _orbit_count,
     _orbit_plan,
     _scatter,
 )
 from heisenberg_orbits.serialization import invariants_from_json, invariants_to_json
-from heisenberg_orbits.spectral import max_relative_deviation
+from heisenberg_orbits.spectral import _PLAN_CACHE_ORDERS, max_relative_deviation
 
 from helpers import bundle_orbit_values, generic_signal, reference_scatter
 

@@ -35,6 +35,7 @@ from heisenberg_orbits import (
     orbit_equivalent,
     principal_nth_root,
     recover_weight12,
+    recover_weighted,
     sample_random_signal,
 )
 
@@ -168,6 +169,16 @@ REJECTIONS = [
     pytest.param(
         recover_weight12, (1e150, 1e10, 1.0), InconsistentInvariants, "times r2",
         id="weight12-r1-squared-overflows",
+    ),
+    # a chain no vector has because a coordinate, or the cube of the last one,
+    # lies past the float range: no nan result and no numpy warning
+    pytest.param(
+        recover_weighted, (WeightedCyclicInvariants(r=1e-10, a=(1e300, 1.0)),),
+        InconsistentInvariants, "coordinate 2 overflows", id="weighted-coordinate-overflows",
+    ),
+    pytest.param(
+        recover_weighted, (WeightedCyclicInvariants(r=1.0, a=(1e200, 1.0)),),
+        InconsistentInvariants, "cube of coordinate 2", id="weighted-cube-overflows",
     ),
     pytest.param(degree_audit, (1, 1), ValueError, "order", id="degree_audit-order-1"),
     pytest.param(degree_audit, (3, 0), ValueError, "degree", id="degree_audit-degree-0"),

@@ -17,7 +17,7 @@ from heisenberg_orbits import (
     principal_nth_root,
     sample_random_signal,
 )
-from heisenberg_orbits.spectral import checked_tolerance
+from heisenberg_orbits.spectral import _unit_scaled, checked_tolerance
 
 
 def kernel_dft(x):
@@ -141,6 +141,28 @@ class TestSampler:
 
     def test_seed_sensitivity(self):
         assert not np.allclose(sample_random_signal(5, 42), sample_random_signal(5, 43))
+
+
+class TestUnitScaled:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("scale", [2.0**-600, 1e-300, 1.0, 3.7, 2.0**600, 1e300])
+    def test_exact_unit_in_the_input_dtype(self, dtype, scale):
+        rng = np.random.default_rng(7)
+        # an odd total length, which a float64 result viewed as complex cannot have
+        vectors = [scale * rng.standard_normal(n) for n in (3, 4)]
+        if dtype is np.complex128:
+            vectors = [v + 1j * scale * rng.standard_normal(len(v)) for v in vectors]
+        scaled, e = _unit_scaled(*vectors)
+        assert scaled.dtype == dtype and len(scaled) == 7
+        parts = scaled.view(np.float64)
+        assert 0.5 <= np.abs(parts).max() < 1.0
+        joined = np.concatenate(vectors)
+        assert np.ldexp(parts, e).tobytes() == joined.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_zero_vector(self, dtype):
+        scaled, e = _unit_scaled(np.zeros(3, dtype))
+        assert e == 0 and scaled.dtype == dtype and not scaled.any()
 
 
 class TestCheckedTolerance:
