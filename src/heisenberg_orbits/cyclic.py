@@ -5,8 +5,9 @@ coordinate j (1-based) by zeta**(j), zeta = exp(2*pi*i/(3n)), a short chain
 of cubic expressions pins the whole orbit, and one chain step solves it and
 the weight-(1, 2) circle action. Both solvers raise ValueError on a
 non-finite value, NonGenericInput on a modulus at or below the genericity
-floor, and InconsistentInvariants on data no vector has, at every scale,
-and on a coordinate or last cube past the float range. For the regular
+floor, and InconsistentInvariants on data no vector has, at every scale
+(spectral's consistency rule), and on a coordinate past the float range;
+a last coordinate whose cube is past it is recovered. For the regular
 representation of Z_N on C^N the bispectrum of the spectrum does the same
 up to cyclic shift. A small combinatorial audit counts monomials that
 survive the global-phase weight test, which is what rules out low-degree
@@ -24,7 +25,9 @@ from .errors import InconsistentInvariants, NonGenericInput
 from .inversion import _march
 from .invariants import unitary_bispectrum
 from .spectral import (
-    CONSISTENCY_TOL,
+    _consistent,
+    _scaled_back,
+    _unit_scaled,
     as_complex_vector,
     checked_integer,
     dft,
@@ -105,16 +108,19 @@ def recover_weighted(inv: WeightedCyclicInvariants) -> np.ndarray:
     """Solve the chain forward and return an orbit representative.
 
     The chain step gives v with v1 real positive, or raises as _chain says. The
-    cube of the last one pins the leftover circle freedom: a[n-1] / v_n**3 has
-    unit modulus for consistent data, else (an overflow too) InconsistentInvariants
-    is raised before any root is taken, and the principal (3n)-th root theta of its
-    phase rephases v as (theta * v1, theta**2 * v2, ...), into the group orbit.
+    cube of the last one pins the leftover circle freedom: mu = a[n-1] / v_n**3,
+    formed in the unit of v_n (_unit_scaled) so that no cube overflows, has unit
+    modulus for consistent data, else InconsistentInvariants is raised before any
+    root is taken, and the principal (3n)-th root theta of its phase rephases v
+    as (theta * v1, theta**2 * v2, ...), into the group orbit.
     """
     n = inv.n
     v = _chain(inv.r, inv.a[:-1])
+    vn, e = _unit_scaled(v[-1:])
+    a = complex(inv.a[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = inv.a[-1] / v[-1] ** 3
-    if not abs(abs(mu) - 1.0) <= CONSISTENCY_TOL:  # a nan mu fails too
+        mu = complex(_scaled_back(a.real, -3 * e), _scaled_back(a.imag, -3 * e)) / vn[0] ** 3
+    if not _consistent(mu, 1.0):
         raise InconsistentInvariants(f"cube of coordinate {n} inconsistent: |mu| = {abs(mu):.8f}")
     theta = principal_nth_root(mu / abs(mu), 3 * n)
     return v * theta ** np.arange(1, n + 1)
@@ -140,7 +146,7 @@ def recover_weight12(r1: float, r2: float, a) -> np.ndarray:
     a = complex(a)
     # |a| / (r1 sqrt(r2)) from the parts of a: no step overflows within the tolerance
     ratio = math.hypot(a.real / m1, a.imag / m1) / m1 / m2
-    if not 1 - CONSISTENCY_TOL <= ratio * ratio <= 1 / (1 - CONSISTENCY_TOL):
+    if not _consistent(ratio * ratio, 1.0):
         raise InconsistentInvariants(f"|a|**2 / r1**2 is {ratio * ratio:.6e} times r2")
     return _chain(r1, (a,))
 

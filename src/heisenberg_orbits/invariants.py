@@ -183,7 +183,9 @@ def power_invariant(x) -> complex:
 
 
 def _power_sum(x: np.ndarray) -> complex:
-    return complex(np.sum(x ** len(x)))
+    """The power sum of a validated x; inf or nan, without a warning, past the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(np.sum(x ** len(x)))
 
 
 def _real_spectrum(y: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InconsistentInvariants, OrderMismatch
 from .spectral import (
-    CONSISTENCY_TOL,
+    _consistent,
     _scaled_back,
     _unit_scaled,
     as_complex_vector,
@@ -107,7 +107,7 @@ def check_energy_balance(y_mag, z_mag):
     both, e = _unit_scaled(y, z)
     energy_time = float(np.sum(both[: len(y)]))
     energy_freq = float(np.sum(both[len(y) :])) / len(y)
-    if abs(energy_time - energy_freq) > CONSISTENCY_TOL * max(energy_time, energy_freq):
+    if not _consistent(energy_time, energy_freq):
         raise InconsistentInvariants(
             f"energy balance violated: sum(y)={_scaled_back(energy_time, e):.6e}"
             f" vs sum(z)/N={_scaled_back(energy_freq, e):.6e}"

@@ -12,12 +12,13 @@ Stages:
    a circle of global phases), of which exactly one is the orbit class;
    the search therefore runs a seeded Gauss-Newton multistart and screens
    every converged candidate: its power-sum magnitude must match the
-   bundle, and after the phase fix below the full recomputed bundle must
-   match within the recovery tolerance. The first accepted candidate is
-   returned. The screen does not reject every spurious class: a scan of
-   12,800 seeded recoveries at N 6 and 8 accepted an exact magnitude
-   solution from another class twice (both at N=6); selecting the class
-   by mixed invariants is an open ROADMAP item.
+   bundle's (one that vanishes or overflows fails), and after the phase fix
+   below the full recomputed bundle must match within the recovery
+   tolerance. The first accepted candidate is returned. The screen does
+   not reject every spurious class: a scan of 12,800 seeded recoveries at
+   N 6 and 8 accepted an exact magnitude solution from another class twice
+   (both at N=6); selecting the class by mixed invariants is an open
+   ROADMAP item.
 3. Fix the remaining global phase with the power-sum invariant: the ratio
    mu = bundle.power_sum / power_sum(candidate) has unit modulus for the
    orbit class, and multiplying by any N-th root of mu lands the candidate
@@ -61,6 +62,7 @@ from .phase_retrieval import (
 from .spectral import (
     DEFAULT_GENERICITY_FLOOR,
     DEFAULT_RECOVERY_TOL,
+    _consistent,
     checked_tolerance,
     dft,
     dft_matrix,
@@ -115,7 +117,8 @@ def recover_orbit(
     from seed pr_cfg.seed + r and runs newton_magnitude_solve under its
     default iteration cap. A converged start must pass two screens to be
     accepted: its power sum matches the bundle's in modulus within the
-    relative band PHASE_RATIO_BAND (so a vanishing one fails), and after the
+    relative band PHASE_RATIO_BAND of the larger (spectral's consistency
+    rule, so one that vanishes or overflows fails), and after the
     global-phase fix the fully recomputed bundle matches within
     recovery_tol. The first accepted start wins. The phase fix takes the
     principal N-th root of the unit-modulus ratio mu / |mu|, so it cannot
@@ -138,8 +141,9 @@ def recover_orbit(
     different orbits (half of 40 seeded recoveries landed in the other
     one). A search that accepts no start returns a best-effort
     report with success=False: the lowest-residual start as candidate, a nan
-    phase fix and ratio_modulus None. Its counts tell the failures apart:
-    converged_starts 0 means no start converged, and otherwise
+    phase fix, ratio_modulus None, and an infinite invariant_match if the
+    candidate's power sum is past the float range. Its counts tell the
+    failures apart: converged_starts 0 means no start converged, and otherwise
     power_rejected and verify_rejected say which screen rejected the
     converged starts, which is how a budget too small for the orbit class
     and a tampered bundle (power sum with the wrong magnitude) surface.
@@ -191,8 +195,7 @@ def recover_orbit(
             continue
         converged += 1
         base = power_invariant(candidate)
-        # |ratio| within the band of 1, written so that base = 0 fails too
-        if abs(abs(inv.power_sum) - abs(base)) > PHASE_RATIO_BAND * abs(base):
+        if not _consistent(inv.power_sum, base, PHASE_RATIO_BAND):
             power_rejected += 1
             continue
         ratio = inv.power_sum / base
@@ -208,7 +211,10 @@ def recover_orbit(
     else:
         accepted, fix_residual, ratio_modulus = False, math.nan, None
         residual, candidate, iterations = best
-        match = invariant_distance(heisenberg_invariants(candidate), inv)
+        try:
+            match = invariant_distance(heisenberg_invariants(candidate), inv)
+        except ValueError:  # the candidate's power sum is past the float range
+            match = math.inf
 
     # a number that stage_residuals or success already holds stays out of here
     diagnostics: dict[str, Any] = {

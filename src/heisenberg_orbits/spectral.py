@@ -27,7 +27,7 @@ __all__ = [
 
 DEFAULT_GENERICITY_FLOOR = 1e-8
 DEFAULT_RECOVERY_TOL = 1e-6
-# the relative tolerance of every check that data are those of some vector
+# the default tolerance of _consistent, the check that data are those of some vector
 CONSISTENCY_TOL = 1e-6
 # orders whose per-order plans stay cached (an orbit plan is 2/3 of an n x n complex matrix)
 _PLAN_CACHE_ORDERS = 8
@@ -68,6 +68,12 @@ def vanishing_coefficients(V, floor: float = DEFAULT_GENERICITY_FLOOR) -> np.nda
     this, so they agree on which values vanish.
     """
     return np.flatnonzero(np.abs(V) <= floor)
+
+
+def _consistent(p, q, tol: float = CONSISTENCY_TOL) -> bool:
+    """|p| and |q| within tol of the larger; a zero against a nonzero, a nan or an inf fails."""
+    p, q = float(np.abs(p)), float(np.abs(q))  # abs() raises on a complex past the float range
+    return abs(p - q) <= tol * max(p, q) < math.inf
 
 
 def _unit_scaled(*vectors: np.ndarray) -> tuple[np.ndarray, int]:

@@ -194,6 +194,19 @@ def reference_march(B) -> np.ndarray:
     return spectrum
 
 
+def near_max_power_sum_signal(seed):
+    """A generic N=8 vector of entries about 3e38 whose power sum is about 1e307.
+
+    Five entries have 8th powers near the positive axis and three near the
+    negative one, so the power sum partly cancels; the magnitude solutions
+    of other classes mostly have power sums past the float range.
+    """
+    rng = np.random.default_rng(seed)
+    signs = rng.permutation([0] * 5 + [1] * 3)
+    phase = (np.pi * signs + rng.uniform(-0.05, 0.05, 8)) / 8 + 2 * np.pi * rng.integers(0, 8, 8) / 8
+    return 3e38 * np.exp(1j * phase) * (1 + 0.05 * rng.standard_normal(8))
+
+
 def zero_padded(x):
     """x followed by len(x) - 1 zeros.
 

@@ -32,6 +32,7 @@ from helpers import (
     generic_signal,
     inconsistent_bm_bundle,
     min_shift_distance,
+    near_max_power_sum_signal,
     set_bundle_orbit_values,
     zero_padded,
 )
@@ -155,6 +156,17 @@ class TestRecoverCommand:
         assert abs(report["diagnostics"]["phase_fix"]["ratio_modulus"] - 1.0) <= 1e-3
         write_vector(cand_path, complex_vector_from_json(report["candidate"]))
         assert main(["verify", str(src), str(cand_path), "--tol", "1e-6"]) == 0
+
+    def test_power_sum_near_the_float_maximum_recovers(self, tmp_path, capsys):
+        # other classes' power sums overflow, which once ended in a traceback
+        src, inv_path, rec_path, cand_path = (tmp_path / f for f in ("x", "inv", "rec", "cand"))
+        write_vector(src, near_max_power_sum_signal(16))
+        assert main(["invariants", str(src), str(inv_path), "--require-generic"]) == 0
+        assert main(["recover", str(inv_path), str(rec_path), "--max-restarts", "400"]) == 0
+        write_vector(cand_path, complex_vector_from_json(load_json(rec_path)["candidate"]))
+        capsys.readouterr()
+        assert main(["verify", str(src), str(cand_path), "--tol", "1e-6"]) == 0
+        assert "equivalent: true" in capsys.readouterr().out
 
     def test_zero_entry_bundle_recovers(self, tmp_path):
         # the zero entry inverts to a tiny negative, which stage 1 clips at 0

@@ -103,6 +103,12 @@ class TestRecoverWeighted:
             candidate = recover_weighted(weighted_invariants(v))
             assert weighted_orbit_distance(v, candidate) <= 1e-8 * np.linalg.norm(v)
 
+    def test_cube_past_the_float_range_recovered(self):
+        # v2**3 overflows, so mu is formed in the power-of-two unit of v2
+        v = np.array([1.0, 6e102 * np.exp(1j * np.pi / 4)])
+        candidate = recover_weighted(weighted_invariants(v))
+        assert weighted_orbit_distance(v, candidate) <= 1e-12 * np.linalg.norm(v)
+
     def test_inconsistent_cube_rejected(self):
         from heisenberg_orbits import WeightedCyclicInvariants
 

@@ -24,7 +24,13 @@ from heisenberg_orbits import (
     verify_against_truth,
 )
 
-from helpers import generic_signal, inconsistent_bm_bundle, with_bm_entries, zero_padded
+from helpers import (
+    generic_signal,
+    inconsistent_bm_bundle,
+    near_max_power_sum_signal,
+    with_bm_entries,
+    zero_padded,
+)
 
 BIG_BUDGET = PhaseRetrievalConfig(seed=9, max_restarts=4000)
 
@@ -204,6 +210,25 @@ class TestRecoverOrbit:
                 assert equivalent  # a success must never fail the oracle
                 hits += 1
         assert hits >= 4
+
+
+    @pytest.mark.parametrize("seed", [8, 16])
+    def test_power_sums_past_the_float_range_are_screened_out(self, seed):
+        # converged starts of other classes have power sums that are inf or
+        # nan; each fails the screen, where it once raised from the phase fix
+        x = near_max_power_sum_signal(seed)
+        report = recover_orbit(heisenberg_invariants(x), PhaseRetrievalConfig(max_restarts=400))
+        assert report.success
+        assert report.diagnostics["phase_retrieval"]["power_rejected"] > 0
+        assert verify_against_truth(report, x, 1e-6)[0]
+
+    def test_best_effort_candidate_past_the_float_range(self):
+        # no start is accepted, and the best one's power sum overflows, so its
+        # bundle cannot be formed: the match reads inf instead of raising
+        inv = heisenberg_invariants(near_max_power_sum_signal(34))
+        report = recover_orbit(inv, PhaseRetrievalConfig(max_restarts=50))
+        assert not report.success
+        assert report.stage_residuals.invariant_match == math.inf
 
 
 class TestStageOneRejects:

@@ -17,7 +17,7 @@ from heisenberg_orbits import (
     principal_nth_root,
     sample_random_signal,
 )
-from heisenberg_orbits.spectral import _unit_scaled, checked_tolerance
+from heisenberg_orbits.spectral import CONSISTENCY_TOL, _consistent, _unit_scaled, checked_tolerance
 
 
 def kernel_dft(x):
@@ -163,6 +163,38 @@ class TestUnitScaled:
     def test_zero_vector(self, dtype):
         scaled, e = _unit_scaled(np.zeros(3, dtype))
         assert e == 0 and scaled.dtype == dtype and not scaled.any()
+
+
+# (p, q, verdict) at tol 2**-10, where both band edges are exact in floats
+CONSISTENCY_TABLE = {
+    "equal": (3.0, 3.0, True),
+    "both-zero": (0.0, 0.0, True),
+    "modulus-of-complex": (1024j, -1023.0, True),
+    "lower-edge": (1024.0, 1023.0, True),
+    "below-lower-edge": (1024.0, np.nextafter(1023.0, 0.0), False),
+    "upper-edge": (1023.0, 1024.0, True),
+    "above-upper-edge": (1023.0, np.nextafter(1024.0, math.inf), False),
+    "nan": (math.nan, 1.0, False),
+    "nan-both": (math.nan, math.nan, False),
+    "inf": (math.inf, 1.0, False),
+    "inf-both": (math.inf, math.inf, False),
+    "zero-against-one": (0.0, 1.0, False),
+    # abs() of this value raises OverflowError; np.abs gives inf
+    "complex-past-float-range": (complex(1.5e308, 1.5e308), complex(1.5e308, 1.5e308), False),
+    "complex-past-float-range-against-max": (complex(1.5e308, 1.5e308), 1.7e308, False),
+}
+
+
+class TestConsistent:
+    @pytest.mark.parametrize("p, q, verdict", CONSISTENCY_TABLE.values(), ids=CONSISTENCY_TABLE)
+    def test_table_both_ways(self, p, q, verdict):
+        assert _consistent(p, q, 2.0**-10) is verdict
+        assert _consistent(q, p, 2.0**-10) is verdict
+
+    def test_default_tolerance(self):
+        assert CONSISTENCY_TOL == 1e-6
+        assert _consistent(1.0, 1.0 + 0.5e-6)
+        assert not _consistent(1.0, 1.0 + 2e-6)
 
 
 class TestCheckedTolerance:
